@@ -6,8 +6,9 @@
    drives the same curve under SINR physical interference, where the
    output-sensitive kernels must keep the cost proportional to the
    transmitters' footprint rather than to n × cols.  Wall-clock is
-   measured around [Tiled.run] (tiles = 1 delegates to the flat
-   sequential engine; tiles = 2 exercises the parallel path), resident
+   measured around [Tiled.run] (tiles = 1 is the sequential engine,
+   with no tiling state or pool; tiles = 2 runs the same round core on
+   two domains), resident
    memory is read from /proc/self/status after each run, and a digest
    cross-check asserts on the spot that the 2-tile trace is identical
    to the 1-tile trace. *)

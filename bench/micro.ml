@@ -100,19 +100,18 @@ let m5_nodes seed =
 
 let m5_sparse_round =
   let nodes = m5_nodes 5 in
-  let incidence = Engine.unreliable_incidence m5_clique in
   let env = Radiosim.Env.null ~name:"bench" () in
   bench ~name:"M5 sparse round (clique 256, p=1/256)" (fun () ->
       ignore
         (Engine.run ~dual:m5_clique ~scheduler:Sch.reliable_only ~nodes ~env
-           ~incidence ~rounds:1 ()))
+           ~rounds:1 ()))
 
 let m5_sparse_round_reference =
   let nodes = m5_nodes 55 in
   let env = Radiosim.Env.null ~name:"bench" () in
   bench ~name:"M5b listener-centric reference (clique 256, p=1/256)" (fun () ->
       ignore
-        (Engine.run_reference ~dual:m5_clique ~scheduler:Sch.reliable_only
+        (Oracle.run_reference ~dual:m5_clique ~scheduler:Sch.reliable_only
            ~nodes ~env ~rounds:1 ()))
 
 (* The shared gray-zone field for M6/M7: random field 256 with ~1k
@@ -128,7 +127,6 @@ let m67_dual =
    adjacency. *)
 let m6_bernoulli_round =
   let dual = m67_dual in
-  let incidence = Engine.unreliable_incidence dual in
   let rng = Prng.Rng.of_int 7 in
   let nodes =
     Array.init (Dual.n dual) (fun src ->
@@ -139,7 +137,7 @@ let m6_bernoulli_round =
   let scheduler = Sch.bernoulli ~seed:6 ~p:0.5 in
   let env = Radiosim.Env.null ~name:"bench" () in
   bench ~name:"M6 bernoulli round (random field 256)" (fun () ->
-      ignore (Engine.run ~dual ~scheduler ~nodes ~env ~incidence ~rounds:1 ()))
+      ignore (Engine.run ~dual ~scheduler ~nodes ~env ~rounds:1 ()))
 
 (* M7/M7b: the per-round link-scheduler resolution cost alone, in the
    sweep regime the contention-management experiments live in — low

@@ -15,8 +15,6 @@ let reception_rate c =
 let contention_profile ~dual ~scheduler ~params ~node trace =
   let body_rounds = ref 0 and silent = ref 0 and single = ref 0 in
   let collision = ref 0 in
-  (* One incidence precomputation for the whole trace, not one per round. *)
-  let incidence = Radiosim.Engine.unreliable_incidence dual in
   Trace.iter
     (fun record ->
       if not (Lb_alg.is_preamble_round params record.Trace.round) then begin
@@ -29,7 +27,7 @@ let contention_profile ~dual ~scheduler ~params ~node trace =
             record.Trace.actions
         in
         let counts =
-          Radiosim.Engine.transmitter_counts ~incidence ~dual ~scheduler
+          Radiosim.Engine.transmitter_counts ~dual ~scheduler
             ~round:record.Trace.round ~transmitting ()
         in
         match counts.(node) with

@@ -1,508 +1,34 @@
 module Dual = Dualgraph.Dual
 module Graph = Dualgraph.Graph
 
-(* Per-node incidence of unreliable edges in flat CSR form, shared with
-   the dual graph that precomputed it: node [u]'s incident unreliable
-   edges occupy slots [off.(u) .. off.(u+1) - 1]. *)
-type incidence = {
-  inc_off : int array;
-  inc_nbr : int array;
-  inc_edge : int array;
-}
+let run ?observer ?stop ?sink ?metrics ?faults ?revive ?reception ~dual
+    ~scheduler ~nodes ~env ~rounds () =
+  Round.run ~who:"Engine.run" ~tiles:1 ~source:(Round.Oblivious scheduler)
+    ?observer ?stop ?sink ?metrics ?faults ?revive ?reception ~dual ~nodes ~env
+    ~rounds ()
 
-let unreliable_incidence dual =
-  let inc_off, inc_nbr, inc_edge = Dual.unreliable_incidence_csr dual in
-  { inc_off; inc_nbr; inc_edge }
-
-(* The shared round loop, resolved transmitter-centrically over a
-   sparse activation set.
-
-   [fill_sparse] writes the round's active unreliable-edge {e indices}
-   into the reusable index buffer (ascending, one slot per active edge)
-   and returns their count, before any reception is resolved; for
-   oblivious schedulers it ignores the transmission vector, for adaptive
-   adversaries (Adaptive.t) it may inspect it.  [resolved_of count] is
-   the number of per-edge scheduler resolutions that fill performed
-   (= count for natively sparse schedulers, m for dense ones) — it only
-   feeds the [scheduler.edges_resolved] counter.
-
-   From the index list the loop builds the round's unreliable adjacency
-   {e for the active edges only} (intrusive per-node lists over
-   preallocated arrays, heads reset edge-by-edge after the round), so
-   per-round scheduler + topology cost is proportional to the active
-   set, not to m.  Reception then iterates only over the round's
-   transmitters: each transmitter pushes its message along its reliable
-   CSR slice and its active unreliable adjacency into per-listener
-   (first-message, collision) scratch — O(T·Δ + active + n) per round.
-   All scratch never escapes, so it is allocated once per run. *)
-let run_with ~fill_sparse ~resolved_of ~dual ~nodes ~env ~rounds ?incidence
-    ?observer ?stop ?sink ?metrics ?faults ?revive
-    ?(reception = Reception.dual_graph) () =
-  let n = Dual.n dual in
-  (* The reception model is fixed for the whole run.  Dual_graph keeps
-     the loop below branch-for-branch the pre-refactor engine (the
-     property suite and the golden corpus hold it to bit-identical
-     traces); Sinr swaps only the reception phase — scheduling, fault
-     transitions, event emission and record serialization are shared. *)
-  let sinr_field =
-    match reception with
-    | Reception.Dual_graph -> None
-    | Reception.Sinr p -> Some (Sinr.create ~params:p dual)
-  in
-  (* Under the dual-graph model a jam window suppresses the victim's
-     transmission; under SINR it is additive noise at the victim's
-     receiver instead — the jammer cannot silence a physical radio, only
-     drown what it hears. *)
-  let jam_suppresses = Option.is_none sinr_field in
-  if Array.length nodes <> n then
-    invalid_arg "Engine.run: node array size differs from vertex count";
-  if rounds < 0 then invalid_arg "Engine.run: negative round count";
-  (match faults with
-  | Some plan when Faults.Plan.n plan <> n ->
-      invalid_arg "Engine.run: fault plan node count differs from vertex count"
-  | _ -> ());
-  (* Restarts swap processes in place; work on a copy so the caller's
-     node array survives the run. *)
-  let nodes = match faults with None -> nodes | Some _ -> Array.copy nodes in
-  let dead = Bytes.make (max n 1) '\000' in
-  let fault_cursor =
-    match faults with None -> None | Some plan -> Some (Faults.Plan.cursor plan)
-  in
-  (* Liveness closures: one indirect call per node per round when a plan
-     is attached, a constant-false closure otherwise — the no-fault path
-     stays branch-for-branch the PR 4 loop. *)
-  let is_dead =
-    match faults with
-    | None -> fun _ -> false
-    | Some _ -> fun v -> Bytes.unsafe_get dead v = '\001'
-  in
-  let round = ref 0 in
-  let jammed =
-    match faults with
-    | None -> fun _ -> false
-    | Some plan when not (Faults.Plan.has_jams plan) -> fun _ -> false
-    | Some plan -> fun v -> Faults.Plan.jammed plan ~node:v ~round:!round
-  in
-  (match incidence with
-  | Some inc ->
-      if Array.length inc.inc_off <> n + 1 then
-        invalid_arg "Engine.run: incidence/graph mismatch"
-  | None -> ());
-  let g_off = Graph.csr_offsets (Dual.g dual) in
-  let g_adj = Graph.csr_neighbors (Dual.g dual) in
-  let m = Dual.unreliable_count dual in
-  (* Unreliable edge endpoints in flat form, plus the round's sparse
-     activation buffer and the intrusive per-round adjacency (slots 2k
-     and 2k+1 belong to the k-th active edge). *)
-  let eu = Array.make (max m 1) 0 and ev = Array.make (max m 1) 0 in
-  Array.iteri
-    (fun i (u, v) ->
-      eu.(i) <- u;
-      ev.(i) <- v)
-    (Dual.unreliable_edges dual);
-  let sparse = Array.make (max m 1) 0 in
-  let adj_head = Array.make (max n 1) (-1) in
-  let adj_next = Array.make (max (2 * m) 1) 0 in
-  let adj_nbr = Array.make (max (2 * m) 1) 0 in
-  let ctr_active, ctr_resolved =
-    match metrics with
-    | None -> (None, None)
-    | Some reg ->
-        ( Some (Obs.Metrics.counter reg "engine.active_edges"),
-          Some (Obs.Metrics.counter reg "scheduler.edges_resolved") )
-  in
-  let ctr_crash, ctr_restart, ctr_jam =
-    match (metrics, faults) with
-    | Some reg, Some _ ->
-        ( Some (Obs.Metrics.counter reg "faults.crashes"),
-          Some (Obs.Metrics.counter reg "faults.restarts"),
-          Some (Obs.Metrics.counter reg "faults.jams") )
-    | _ -> (None, None, None)
-  in
-  (* Per-listener reception scratch, reset (when touched) every round. *)
-  let heard = Array.make (max n 1) None in
-  let collided = Bytes.make (max n 1) '\000' in
-  let transmitters = Array.make (max n 1) 0 in
-  let push u sm =
-    if Bytes.unsafe_get collided u = '\000' then
-      match Array.unsafe_get heard u with
-      | None -> Array.unsafe_set heard u sm
-      | Some _ -> Bytes.unsafe_set collided u '\001'
-  in
-  (* A round record can escape the loop only through [observer] or
-     [stop]; when neither is supplied, the per-round arrays are reused
-     across rounds instead of being reallocated (the engine's dominant
-     allocation cost on long unobserved runs). *)
-  let record_escapes = observer <> None || stop <> None in
-  let buffers = ref None in
-  let executed = ref 0 in
-  let continue = ref true in
-  while !continue && !round < rounds do
-    let t = !round in
-    (* Event emission is gated on the sink's presence per site, never per
-       element: the disabled path executes exactly the PR 2 loop (the
-       property suite asserts bit-identical traces, the micro-benchmarks
-       a <= 2% regression budget). *)
-    (match sink with
-    | None -> ()
-    | Some s -> Obs.Sink.emit s (Obs.Event.Round_start { round = t }));
-    (* Fault transitions take effect at the top of the round: a node
-       crashing at round t is already silent in t, a node restarting at t
-       already participates in t (with the fresh process [revive]
-       supplies — without [revive], the frozen pre-crash state resumes). *)
-    (match fault_cursor with
-    | None -> ()
-    | Some cur ->
-        Faults.Plan.apply cur ~round:t (fun node ev ->
-            match ev with
-            | Faults.Plan.Crash ->
-                Bytes.unsafe_set dead node '\001';
-                (match sink with
-                | None -> ()
-                | Some s ->
-                    Obs.Sink.emit s (Obs.Event.Crash { round = t; node }));
-                (match ctr_crash with
-                | Some c -> Obs.Metrics.incr c
-                | None -> ())
-            | Faults.Plan.Restart ->
-                Bytes.unsafe_set dead node '\000';
-                (match revive with
-                | Some fresh -> nodes.(node) <- fresh ~node ~round:t
-                | None -> ());
-                (match sink with
-                | None -> ()
-                | Some s ->
-                    Obs.Sink.emit s (Obs.Event.Restart { round = t; node }));
-                (match ctr_restart with
-                | Some c -> Obs.Metrics.incr c
-                | None -> ())));
-    (* Step 1 + 2: inputs, then transmit/listen decisions.  A dead node
-       is invisible to its environment and its process is not stepped; a
-       jammed transmitter is charged for its decision but taken off the
-       air before reception is resolved. *)
-    let inputs, actions, transmitting, delivered, outputs =
-      match !buffers with
-      | Some b -> b
-      | None ->
-          let b =
-            ( Array.make n [],
-              (Array.make n Process.Listen : _ Process.action array),
-              Array.make n false,
-              Array.make n None,
-              Array.make n [] )
-          in
-          if not record_escapes then buffers := Some b;
-          b
-    in
-    for v = 0 to n - 1 do
-      inputs.(v) <- (if is_dead v then [] else env.Env.inputs ~round:t ~node:v)
-    done;
-    for v = 0 to n - 1 do
-      if is_dead v then begin
-        actions.(v) <- Process.Listen;
-        transmitting.(v) <- false
-      end
-      else begin
-        let a = nodes.(v).Process.decide ~round:t inputs.(v) in
-        actions.(v) <- a;
-        transmitting.(v) <-
-          (match a with
-          | Process.Transmit _ ->
-              if jam_suppresses && jammed v then begin
-                (match ctr_jam with Some c -> Obs.Metrics.incr c | None -> ());
-                false
-              end
-              else true
-          | Process.Listen -> false)
-      end
-    done;
-    (* Step 3: receptions under the round's topology, driven by the
-       transmitter set. *)
-    let tcount = ref 0 in
-    for v = 0 to n - 1 do
-      if Array.unsafe_get transmitting v then begin
-        Array.unsafe_set transmitters !tcount v;
-        incr tcount
-      end
-    done;
-    let acount = ref 0 in
-    (match sinr_field with
-    | Some f ->
-        if !tcount > 0 then begin
-          (* SINR reception: every listener's outcome is a pure function
-             of the global transmitter set.  The link scheduler is not
-             consulted (interference replaces adversarial edge choice),
-             so no activation set is resolved and [engine.active_edges]
-             does not advance.  Work is transmitter-centric: only the
-             round's active columns are visited — a listener of an
-             inactive column has no in-band candidate and decodes -1,
-             i.e. its scratch stays exactly as silence left it. *)
-          Sinr.load_round f ~transmitters ~count:!tcount;
-          (* The reference path charged faults.jams once per jammed
-             alive listener in every contended round, whether or not
-             anything was in its band; keep that meaning with a
-             dedicated counting pass (gated off unless a plan actually
-             schedules jams — without one the counter stays 0 anyway). *)
-          (match (ctr_jam, faults) with
-          | Some c, Some plan when Faults.Plan.has_jams plan ->
-              for u = 0 to n - 1 do
-                if
-                  (not (Array.unsafe_get transmitting u))
-                  && (not (is_dead u))
-                  && jammed u
-                then Obs.Metrics.incr c
-              done
-          | _ -> ());
-          let act, nact = Sinr.active_columns f in
-          let soff = Sinr.slot_off f and snode = Sinr.slot_node f in
-          for a = 0 to nact - 1 do
-            let c = Array.unsafe_get act a in
-            let lo = Array.unsafe_get soff c
-            and hi = Array.unsafe_get soff (c + 1) in
-            Sinr.scan_slots f ~column:c ~lo ~hi;
-            for s = lo to hi - 1 do
-              let u = Array.unsafe_get snode s in
-              if (not (Array.unsafe_get transmitting u)) && not (is_dead u)
-              then begin
-                match Sinr.verdict f ~jammed:(jammed u) ~slot:s with
-                | -1 -> ()
-                | -2 -> Bytes.unsafe_set collided u '\001'
-                | v -> (
-                    match Array.unsafe_get actions v with
-                    | Process.Transmit msg -> Array.unsafe_set heard u (Some msg)
-                    | Process.Listen -> assert false)
-              end
-            done
-          done
-        end
-    | None ->
-    if !tcount > 0 then begin
-      if m > 0 then begin
-        acount := fill_sparse ~round:t ~transmitting sparse;
-        (match ctr_active with
-        | None -> ()
-        | Some c ->
-            Obs.Metrics.incr ~by:!acount c;
-            (match ctr_resolved with
-            | None -> ()
-            | Some c -> Obs.Metrics.incr ~by:(resolved_of !acount) c));
-        for k = 0 to !acount - 1 do
-          let e = Array.unsafe_get sparse k in
-          let a = Array.unsafe_get eu e and b = Array.unsafe_get ev e in
-          Array.unsafe_set adj_nbr (2 * k) b;
-          Array.unsafe_set adj_next (2 * k) (Array.unsafe_get adj_head a);
-          Array.unsafe_set adj_head a (2 * k);
-          Array.unsafe_set adj_nbr ((2 * k) + 1) a;
-          Array.unsafe_set adj_next ((2 * k) + 1) (Array.unsafe_get adj_head b);
-          Array.unsafe_set adj_head b ((2 * k) + 1)
-        done
-      end;
-      for i = 0 to !tcount - 1 do
-        let v = Array.unsafe_get transmitters i in
-        match actions.(v) with
-        | Process.Listen -> ()
-        | Process.Transmit msg ->
-            (* One [Some] per transmitter, shared across its receivers. *)
-            let sm = Some msg in
-            for j = g_off.(v) to g_off.(v + 1) - 1 do
-              push (Array.unsafe_get g_adj j) sm
-            done;
-            let j = ref (Array.unsafe_get adj_head v) in
-            while !j >= 0 do
-              push (Array.unsafe_get adj_nbr !j) sm;
-              j := Array.unsafe_get adj_next !j
-            done
-      done;
-      (* Tear the round's adjacency back down, touching only the heads
-         the active edges set. *)
-      for k = 0 to !acount - 1 do
-        let e = Array.unsafe_get sparse k in
-        Array.unsafe_set adj_head (Array.unsafe_get eu e) (-1);
-        Array.unsafe_set adj_head (Array.unsafe_get ev e) (-1)
-      done
-    end);
-    for u = 0 to n - 1 do
-      delivered.(u) <-
-        (match actions.(u) with
-        | Process.Transmit _ -> None
-        | Process.Listen ->
-            if is_dead u then None
-            else if Bytes.unsafe_get collided u = '\001' then None
-            else Array.unsafe_get heard u)
-    done;
-    (* Structural events: one Transmit per transmitter, one
-       Deliver/Collision per affected listener.  Read the per-listener
-       scratch before it is reset below. *)
-    let deliveries = ref 0 and collisions = ref 0 in
-    (match sink with
-    | None -> ()
-    | Some s ->
-        for i = 0 to !tcount - 1 do
-          Obs.Sink.emit s
-            (Obs.Event.Transmit
-               { round = t; node = Array.unsafe_get transmitters i })
-        done;
-        if !tcount > 0 then
-          for u = 0 to n - 1 do
-            match actions.(u) with
-            | Process.Transmit _ -> ()
-            | Process.Listen when is_dead u -> ()
-            | Process.Listen ->
-                if Bytes.unsafe_get collided u = '\001' then begin
-                  incr collisions;
-                  Obs.Sink.emit s (Obs.Event.Collision { round = t; node = u })
-                end
-                else if delivered.(u) <> None then begin
-                  incr deliveries;
-                  Obs.Sink.emit s (Obs.Event.Deliver { round = t; node = u })
-                end
-          done);
-    if !tcount > 0 then begin
-      Array.fill heard 0 n None;
-      Bytes.fill collided 0 n '\000'
-    end;
-    (* Step 4: outputs, consumed by the environment. *)
-    for v = 0 to n - 1 do
-      outputs.(v) <-
-        (if is_dead v then [] else nodes.(v).Process.absorb ~round:t delivered.(v))
-    done;
-    Array.iteri
-      (fun v outs -> if outs <> [] then env.Env.notify ~round:t ~node:v outs)
-      outputs;
-    if record_escapes then begin
-      let record = { Trace.round = t; inputs; actions; delivered; outputs } in
-      (match observer with Some f -> f record | None -> ());
-      match stop with Some p when p record -> continue := false | _ -> ()
-    end;
-    (* Round_end comes after the observer so that protocol-level events a
-       translating observer emits (Localcast.Lb_obs) land inside the
-       round's bracket. *)
-    (match sink with
-    | None -> ()
-    | Some s ->
-        Obs.Sink.emit s
-          (Obs.Event.Round_end
-             {
-               round = t;
-               transmitters = !tcount;
-               deliveries = !deliveries;
-               collisions = !collisions;
-             }));
-    incr executed;
-    incr round
-  done;
-  !executed
-
-let run ?observer ?stop ?incidence ?sink ?metrics ?faults ?revive ?reception
-    ~dual ~scheduler ~nodes ~env ~rounds () =
-  let m = Dual.unreliable_count dual in
-  let fill_sparse ~round ~transmitting:_ buf =
-    Scheduler.fill_active_sparse scheduler ~round ~m buf
-  in
-  let resolved_of count =
-    if Scheduler.resolves_sparsely scheduler then count else m
-  in
-  run_with ~fill_sparse ~resolved_of ~dual ~nodes ~env ~rounds ?incidence
-    ?observer ?stop ?sink ?metrics ?faults ?revive ?reception ()
-
-let run_adaptive ?observer ?stop ?incidence ?sink ?metrics ?faults ?revive
-    ?(reception = Reception.dual_graph) ~dual ~adversary ~nodes ~env ~rounds ()
-    =
+let run_adaptive ?observer ?stop ?sink ?metrics ?faults ?revive ?reception
+    ~dual ~adversary ~nodes ~env ~rounds () =
   (* The adaptive adversary's whole power is choosing which unreliable
      edges fire after seeing the transmitter set; SINR ignores those
      edges entirely, so combining the two would silently run a plain
      SINR simulation while claiming adversarial semantics. *)
   (match reception with
-  | Reception.Dual_graph -> ()
-  | Reception.Sinr _ ->
+  | None | Some Reception.Dual_graph -> ()
+  | Some (Reception.Sinr _) ->
       invalid_arg
         "Engine.run_adaptive: the SINR reception model does not consult the \
          link scheduler, so an adaptive adversary has nothing to rule on; \
          use Engine.run with ~reception, or the dual-graph model");
-  let m = Dual.unreliable_count dual in
-  let fill_sparse ~round ~transmitting buf =
-    let k = ref 0 in
-    for edge = 0 to m - 1 do
-      if Adaptive.choose adversary ~round ~transmitting ~edge then begin
-        Array.unsafe_set buf !k edge;
-        incr k
-      end
-    done;
-    !k
-  in
-  (* The adversary is consulted once per (round, edge) regardless of the
-     outcome. *)
-  let resolved_of _count = m in
-  run_with ~fill_sparse ~resolved_of ~dual ~nodes ~env ~rounds ?incidence
-    ?observer ?stop ?sink ?metrics ?faults ?revive ()
+  Round.run ~who:"Engine.run_adaptive" ~tiles:1
+    ~source:(Round.Adaptive adversary) ?observer ?stop ?sink ?metrics ?faults
+    ?revive ~dual ~nodes ~env ~rounds ()
 
-(* The retained listener-centric resolver: for every listener, scan its
-   topology neighborhood and apply the collision rule, querying the
-   scheduler per (listener, incident edge).  O(n·Δ') per round and
-   allocating; kept verbatim as the executable reference semantics — the
-   property suite asserts the transmitter-centric engine produces
-   bit-identical traces, and the micro-benchmarks report the speedup
-   against it. *)
-let run_reference ?observer ?stop ~dual ~scheduler ~nodes ~env ~rounds () =
-  let n = Dual.n dual in
-  if Array.length nodes <> n then
-    invalid_arg "Engine.run: node array size differs from vertex count";
-  if rounds < 0 then invalid_arg "Engine.run: negative round count";
-  let executed = ref 0 in
-  let continue = ref true in
-  let round = ref 0 in
-  while !continue && !round < rounds do
-    let t = !round in
-    let inputs = Array.init n (fun v -> env.Env.inputs ~round:t ~node:v) in
-    let actions =
-      Array.mapi (fun v node -> node.Process.decide ~round:t inputs.(v)) nodes
-    in
-    let delivered =
-      Array.init n (fun u ->
-          match actions.(u) with
-          | Process.Transmit _ -> None
-          | Process.Listen ->
-              let heard = ref None in
-              let collided = ref false in
-              let consider v =
-                match actions.(v) with
-                | Process.Listen -> ()
-                | Process.Transmit m -> (
-                    match !heard with
-                    | None -> heard := Some m
-                    | Some _ -> collided := true)
-              in
-              Dual.iter_reliable_neighbors dual u consider;
-              Dual.iter_unreliable_incident dual u (fun v edge ->
-                  if Scheduler.active scheduler ~round:t ~edge then consider v);
-              if !collided then None else !heard)
-    in
-    let outputs =
-      Array.init n (fun v -> nodes.(v).Process.absorb ~round:t delivered.(v))
-    in
-    Array.iteri
-      (fun v outs -> if outs <> [] then env.Env.notify ~round:t ~node:v outs)
-      outputs;
-    let record = { Trace.round = t; inputs; actions; delivered; outputs } in
-    (match observer with Some f -> f record | None -> ());
-    (match stop with Some p when p record -> continue := false | _ -> ());
-    incr executed;
-    incr round
-  done;
-  !executed
-
-let transmitter_counts ?incidence ~dual ~scheduler ~round ~transmitting () =
+let transmitter_counts ~dual ~scheduler ~round ~transmitting () =
   let n = Dual.n dual in
   if Array.length transmitting <> n then
     invalid_arg "Engine.transmitter_counts: size mismatch";
-  let inc =
-    match incidence with
-    | Some inc ->
-        if Array.length inc.inc_off <> n + 1 then
-          invalid_arg "Engine.transmitter_counts: incidence/graph mismatch";
-        inc
-    | None -> unreliable_incidence dual
-  in
+  let inc_off, inc_nbr, inc_edge = Dual.unreliable_incidence_csr dual in
   let g_off = Graph.csr_offsets (Dual.g dual) in
   let g_adj = Graph.csr_neighbors (Dual.g dual) in
   let m = Dual.unreliable_count dual in
@@ -515,10 +41,9 @@ let transmitter_counts ?incidence ~dual ~scheduler ~round ~transmitting () =
         let u = Array.unsafe_get g_adj j in
         counts.(u) <- counts.(u) + 1
       done;
-      for j = inc.inc_off.(v) to inc.inc_off.(v + 1) - 1 do
-        if Bytes.unsafe_get active (Array.unsafe_get inc.inc_edge j) = '\001'
-        then begin
-          let u = Array.unsafe_get inc.inc_nbr j in
+      for j = inc_off.(v) to inc_off.(v + 1) - 1 do
+        if Bytes.unsafe_get active (Array.unsafe_get inc_edge j) = '\001' then begin
+          let u = Array.unsafe_get inc_nbr j in
           counts.(u) <- counts.(u) + 1
         end
       done

@@ -28,31 +28,28 @@
     decay-ladder algorithms live in, where T is a small constant and,
     under sparse link schedulers ({!Scheduler.bernoulli_sparse}),
     [active ≈ p·m ≪ m] — instead of the listener-centric O(n·Δ') of
-    {!run_reference}.
+    the frozen reference resolver ([Oracle.run_reference] in the
+    test-only [test/oracle] library).
+
+    Within a round the engine calls the closures it is given in a fixed
+    order: every [env.inputs] (ascending node order, dead nodes
+    skipped), then every [decide] (ascending), then every [absorb]
+    (ascending), then [env.notify] for each node with outputs
+    (ascending), then [observer] and [stop].  {!run}, {!run_adaptive}
+    and {!Tiled.run} share one round core; this module runs it on a
+    single tile, with no tiling state and no domain pool.
 
     Step 4's collision rule is the {e reception model} and is pluggable
     ({!Reception.t}): the default {!Reception.Dual_graph} is the rule
-    above, kept branch-for-branch the pre-refactor engine (bit-identical
-    traces, enforced by the property suite and the golden corpus);
-    {!Reception.Sinr} replaces it with physical interference computed
-    over the topology's Euclidean embedding — the scheduler is then not
-    consulted and steps 1–3 and 5 run unchanged.  See [docs/RECEPTION.md]
-    for the contract both models satisfy. *)
-
-type incidence
-(** Per-node incidence of a dual graph's unreliable edges in flat CSR
-    form — the data the engine needs beyond the reliable adjacency.  The
-    dual graph precomputes it at creation, so obtaining it is O(1) and
-    allocation-free. *)
-
-val unreliable_incidence : Dualgraph.Dual.t -> incidence
-(** The unreliable-edge incidence of a topology, shared with the dual
-    graph's internal representation (O(1), no per-call allocation). *)
+    above (the property suite and the golden corpus hold it to
+    bit-identical traces); {!Reception.Sinr} replaces it with physical
+    interference computed over the topology's Euclidean embedding — the
+    scheduler is then not consulted and steps 1–3 and 5 run unchanged.
+    See [docs/RECEPTION.md] for the contract both models satisfy. *)
 
 val run :
   ?observer:(('msg, 'input, 'output) Trace.round_record -> unit) ->
   ?stop:(('msg, 'input, 'output) Trace.round_record -> bool) ->
-  ?incidence:incidence ->
   ?sink:Obs.Sink.t ->
   ?metrics:Obs.Metrics.t ->
   ?faults:Faults.Plan.t ->
@@ -68,10 +65,8 @@ val run :
 (** Executes up to [rounds] rounds and returns the number actually
     executed.  [observer] sees each round's record as it completes;
     [stop], checked after the observer, ends the run early when it
-    returns [true].  [incidence] must come from {!unreliable_incidence}
-    on the same [dual] (it is fetched from the dual when absent).  Raises
-    [Invalid_argument] if the node array size differs from the graph's
-    vertex count.
+    returns [true].  Raises [Invalid_argument] if the node array size
+    differs from the graph's vertex count.
 
     [sink], when given, receives the structural event stream of the run
     (per round: [Round_start], one [Transmit] per transmitter, one
@@ -130,7 +125,6 @@ val run :
 val run_adaptive :
   ?observer:(('msg, 'input, 'output) Trace.round_record -> unit) ->
   ?stop:(('msg, 'input, 'output) Trace.round_record -> bool) ->
-  ?incidence:incidence ->
   ?sink:Obs.Sink.t ->
   ?metrics:Obs.Metrics.t ->
   ?faults:Faults.Plan.t ->
@@ -160,26 +154,7 @@ val run_adaptive :
     edges, which SINR ignores — passing an SINR model raises
     [Invalid_argument] rather than silently dropping the adversary. *)
 
-val run_reference :
-  ?observer:(('msg, 'input, 'output) Trace.round_record -> unit) ->
-  ?stop:(('msg, 'input, 'output) Trace.round_record -> bool) ->
-  dual:Dualgraph.Dual.t ->
-  scheduler:Scheduler.t ->
-  nodes:('msg, 'input, 'output) Process.node array ->
-  env:('input, 'output) Env.t ->
-  rounds:int ->
-  unit ->
-  int
-(** The retained listener-centric resolver: every listener scans its full
-    topology neighborhood, querying the scheduler per incident edge —
-    O(n·Δ') per round.  Same observable semantics as {!run} (the
-    property suite asserts bit-identical traces on random
-    configurations); kept as the executable reference for tests and as
-    the micro-benchmark baseline.  Deliberately takes no event sink:
-    the reference semantics stay frozen.  Not for production use. *)
-
 val transmitter_counts :
-  ?incidence:incidence ->
   dual:Dualgraph.Dual.t ->
   scheduler:Scheduler.t ->
   round:int ->
@@ -189,7 +164,6 @@ val transmitter_counts :
 (** Diagnostic: for the given transmitting set, the number of
     topology-neighbors of each node that transmit in [round] (the
     contention each listener faces).  Used by tests to cross-check the
-    engine's collision rule.  Routes through the same activation-buffer
-    + transmitter-centric path as {!run}.  [incidence] must come from
-    {!unreliable_incidence} on the same [dual]; when absent it is
-    fetched from the dual (O(1)). *)
+    engine's collision rule.  Resolves the round's activation densely
+    ({!Scheduler.fill_active}) and walks each transmitter's reliable
+    and unreliable incidence, which the dual graph stores in CSR form. *)

@@ -149,8 +149,8 @@ let bernoulli ~seed ~p =
    [active] must agree edge-by-edge with the emitted set, but the set is
    sampled jointly, so membership queries replay the same walk.  A
    one-round memo keeps that cheap for the engine's query patterns
-   (ascending rounds, with [run_reference] probing one round many
-   times); the memo makes a [t] unsafe to share across domains, which
+   (ascending rounds, with the reference resolver probing one round
+   many times); the memo makes a [t] unsafe to share across domains, which
    matches the existing per-trial ownership discipline. *)
 let bernoulli_sparse ~seed ~p =
   let round_stream round =

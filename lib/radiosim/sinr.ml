@@ -167,7 +167,7 @@ let load_round t ~transmitters ~count =
      off_monotone t ~count));
   (* Stable counting sort: the input is ascending by id, so each
      column's slice comes out ascending by id too — the canonical
-     accumulation order receive relies on. *)
+     accumulation order the scans rely on. *)
   for i = 0 to count - 1 do
     let w = Array.unsafe_get transmitters i in
     let c = Array.unsafe_get t.col w in
@@ -204,8 +204,8 @@ let load_round t ~transmitters ~count =
   (* Active columns: the union of [c - near, c + near] over the occupied
      columns, merged ascending (occ is ascending, so a single cursor
      dedups the overlapping windows).  A listener outside every window
-     has no in-band transmitter — its scan would find nothing and
-     receive would return -1 — so the engines skip it wholesale. *)
+     has no in-band transmitter — its scan would find nothing and its
+     verdict would be -1 — so the engine skips it wholesale. *)
   for i = 0 to t.nact - 1 do
     Bytes.unsafe_set t.act_mark (Array.unsafe_get t.act i) '\000'
   done;
@@ -222,55 +222,12 @@ let load_round t ~transmitters ~count =
   done;
   t.nact <- !nact
 
-(* The shared near-band scan: candidate (strongest, first-seen on ties)
-   plus the exact power sum over the band, accumulated in fixed global
-   order — ascending column, then ascending id. *)
-let scan t listener =
-  let cx = Array.unsafe_get t.col listener in
-  let x = Array.unsafe_get t.px listener
-  and y = Array.unsafe_get t.py listener in
-  let lo = max 0 (cx - t.near) and hi = min (t.ncols - 1) (cx + t.near) in
-  let best = ref (-1) and best_pw = ref 0.0 and sum = ref 0.0 in
-  for c = lo to hi do
-    for idx = Array.unsafe_get t.off c to Array.unsafe_get t.off (c + 1) - 1 do
-      let w = Array.unsafe_get t.col_tx idx in
-      let dx = Array.unsafe_get t.px w -. x
-      and dy = Array.unsafe_get t.py w -. y in
-      let d2 = Float.max ((dx *. dx) +. (dy *. dy)) min_d2 in
-      let pw = t.power *. (d2 ** t.neg_half_alpha) in
-      sum := !sum +. pw;
-      if pw > !best_pw then begin
-        best_pw := pw;
-        best := w
-      end
-    done
-  done;
-  (cx, !best, !best_pw, !sum)
-
-let diag t ~jammed ~listener =
-  let cx, best, best_pw, sum = scan t listener in
-  let floor = t.noise +. (if jammed then t.jam else 0.0) in
-  if best < 0 then (-1, 0.0, t.far.(cx) +. floor)
-  else (best, best_pw, sum -. best_pw +. t.far.(cx) +. floor)
-
-let receive t ~jammed ~listener =
-  let cx = Array.unsafe_get t.col listener in
-  if Bytes.unsafe_get t.act_mark cx = '\000' then -1
-  else begin
-    let _, best, best_pw, sum = scan t listener in
-    if best < 0 then -1
-    else begin
-      let floor = t.noise +. (if jammed then t.jam else 0.0) in
-      let interference = sum -. best_pw +. t.far.(cx) +. floor in
-      if best_pw >= t.beta *. interference then best else -2
-    end
-  end
-
 (* Kernel 3: the batched per-column scan.  One pass over each in-band
    transmitter slice serves every listener of the column at once — the
    loop interchange keeps each listener's accumulation sequence exactly
-   the per-listener scan's (band columns ascending, ids ascending within
-   a column, strict-> tie-break), so sums and candidates are bit-identical.
+   the per-listener reference scan's (band columns ascending, ids
+   ascending within a column, strict-> tie-break), so sums and
+   candidates are bit-identical.
    Transmitting or dead nodes inside the range are scanned too (their
    scratch is simply never read back); the few wasted lanes cost less
    than branching per (transmitter, listener) pair. *)
@@ -370,3 +327,10 @@ let receive_reference t ~jammed ~listener =
     let interference = sum -. best_pw +. far_reference t cx +. floor in
     if best_pw >= t.beta *. interference then best else -2
   end
+
+let diag t ~jammed ~listener =
+  let cx, best, best_pw, sum = scan_reference t listener in
+  let floor = t.noise +. (if jammed then t.jam else 0.0) in
+  let far = far_reference t cx in
+  if best < 0 then (-1, 0.0, far +. floor)
+  else (best, best_pw, sum -. best_pw +. far +. floor)

@@ -2,11 +2,12 @@
     topology's Euclidean embedding.
 
     A {!t} is prepared once per run and reused across rounds; the engine
-    loads each round's transmitter set ({!load_round}) and then asks,
-    per listener, who (if anyone) was decoded ({!receive}).  The answer
-    is a pure function of [(transmitter set, listener, jammed)], so the
-    tiled engine can evaluate listeners from any worker domain in any
-    order and still produce the sequential engine's exact trace.
+    loads each round's transmitter set ({!load_round}), scans the
+    listeners of the round's active columns in batches ({!scan_slots})
+    and reads back, per listener slot, who (if anyone) was decoded
+    ({!verdict}).  Each verdict is a pure function of [(transmitter set,
+    listener, jammed)], so tiles can scan disjoint slot ranges from any
+    worker domain in any order and still produce the one-tile trace.
 
     {b The power-sum aggregation scheme.}  Received power at distance
     [d] is [power / d^alpha].  Summing it over every transmitter for
@@ -91,8 +92,8 @@ val active_columns : t -> int array * int
 (** [(act, nact)] — the loaded round's active columns are the first
     [nact] entries of [act], ascending.  A column is active iff some
     column within [near] of it holds a transmitter; every listener of
-    an inactive column decodes [-1] (nothing in band), so engines skip
-    inactive columns without calling {!receive}.  The set is derived
+    an inactive column decodes [-1] (nothing in band), so the engine
+    never scans inactive columns.  The set is derived
     from topology-fixed column data only, never from the tiling.  The
     array is reused by the next {!load_round} — do not mutate. *)
 
@@ -109,33 +110,31 @@ val scan_slots : t -> column:int -> lo:int -> hi:int -> unit
     disjoint scratch, so concurrent tiles may share one [t]. *)
 
 val verdict : t -> jammed:bool -> slot:int -> int
-(** The {!receive} outcome for the node in [slot], read from the
-    scratch a covering {!scan_slots} filled: decoded transmitter id,
-    [-1] silence, [-2] drowned.  The caller is responsible for only
+(** The loaded round's outcome for the listener in [slot], read from
+    the scratch a covering {!scan_slots} filled: the decoded
+    transmitter's id; [-1] if no transmitter lies within the near band
+    (silence — nothing to decode); [-2] if the strongest in-band
+    transmitter failed the SINR test (drowned — the dual-graph model's
+    collision).  [jammed] adds the model's [jam] noise to the
+    listener's floor — under SINR a jam window degrades the victim's
+    {e reception} instead of suppressing its transmission (see
+    [docs/RECEPTION.md] §4).  The caller is responsible for only
     consulting slots of listeners (alive, not transmitting). *)
-
-val receive : t -> jammed:bool -> listener:int -> int
-(** The loaded round's outcome at [listener] (which must not itself be
-    transmitting): the decoded transmitter's id; [-1] if no transmitter
-    lies within the near band (silence — nothing to decode); [-2] if
-    the strongest in-band transmitter failed the SINR test (drowned —
-    the dual-graph model's collision).  [jammed] adds the model's [jam]
-    noise to the listener's floor — under SINR a jam window degrades
-    the victim's {e reception} instead of suppressing its transmission
-    (see [docs/RECEPTION.md] §4). *)
 
 val receive_reference : t -> jammed:bool -> listener:int -> int
 (** The frozen dense oracle: PR 8's listener-centric path — full
     per-listener band scan plus an O(cols) dense far-field row — kept
     verbatim and reading none of the sparse kernels' state.  The
-    property suite asserts [receive ≡ receive_reference] (and the
-    engines' skip set sound against it) across the scheduler and fault
-    zoo; the M12 micro-benchmark reports the speedup against it. *)
+    property suite asserts [verdict ≡ receive_reference] (and the
+    engine's skip set sound against it) across the scheduler and fault
+    zoo; the M12 micro-benchmark reports the speedup against it.  Same
+    contract as {!verdict}, for a listener not itself transmitting. *)
 
 val diag : t -> jammed:bool -> listener:int -> int * float * float
-(** [(best, signal, interference)] behind the {!receive} verdict:
-    the in-band candidate ([-1] if none), its received signal power,
-    and the denominator — every other transmitter's power (near exact
-    + far aggregated) plus noise plus jam.  [receive] returns [best]
-    iff [signal >= beta · interference].  Exposed for tests and for
-    the worked example in [docs/RECEPTION.md]. *)
+(** [(best, signal, interference)] behind the {!receive_reference}
+    verdict, computed on the same frozen dense path: the in-band
+    candidate ([-1] if none), its received signal power, and the
+    denominator — every other transmitter's power (near exact + far
+    aggregated) plus noise plus jam.  The listener decodes [best] iff
+    [signal >= beta · interference].  Exposed for tests and for the
+    worked example in [docs/RECEPTION.md]. *)

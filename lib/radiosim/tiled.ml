@@ -1,502 +1,15 @@
-module Dual = Dualgraph.Dual
-module Graph = Dualgraph.Graph
-module Tile = Dualgraph.Tile
-module A1 = Bigarray.Array1
-
 let default_tiles () = 1 + Parallel.Budget.suggested_extra ()
 
-(* Growable flat int buffer — transmitter lists, touched-listener lists
-   and halo outboxes all reuse it round to round, so steady-state rounds
-   allocate nothing for bookkeeping. *)
-type ibuf = { mutable data : int array; mutable len : int }
-
-let ibuf_make () = { data = Array.make 64 0; len = 0 }
-
-let ibuf_push b x =
-  let cap = Array.length b.data in
-  if b.len = cap then begin
-    let d = Array.make (2 * cap) 0 in
-    Array.blit b.data 0 d 0 b.len;
-    b.data <- d
-  end;
-  Array.unsafe_set b.data b.len x;
-  b.len <- b.len + 1
-
-(* The multi-tile path mirrors Engine.run phase for phase; every
-   trace-visible serialization (events, notify, records) is produced by
-   the coordinator in ascending node order, so the tiling never shows.
-   See tiled.mli and DESIGN.md §10 for the determinism argument. *)
-let run ?observer ?stop ?sink ?metrics ?faults ?revive ?tiles
-    ?(reception = Reception.dual_graph) ~dual ~scheduler ~nodes ~env ~rounds ()
-    =
+let run ?observer ?stop ?sink ?metrics ?faults ?revive ?tiles ?reception ~dual
+    ~scheduler ~nodes ~env ~rounds () =
   (match tiles with
   | Some k when k < 1 -> invalid_arg "Tiled.run: tiles must be >= 1"
   | _ -> ());
-  let n = Dual.n dual in
-  let k =
-    min (match tiles with Some k -> k | None -> default_tiles ()) (max n 1)
+  let tiles =
+    min
+      (match tiles with Some k -> k | None -> default_tiles ())
+      (max (Dualgraph.Dual.n dual) 1)
   in
-  if k <= 1 then
-    (* The single-domain path is the sequential engine itself. *)
-    Engine.run ?observer ?stop ?sink ?metrics ?faults ?revive ~reception ~dual
-      ~scheduler ~nodes ~env ~rounds ()
-  else begin
-    if Array.length nodes <> n then
-      invalid_arg "Tiled.run: node array size differs from vertex count";
-    if rounds < 0 then invalid_arg "Tiled.run: negative round count";
-    (match faults with
-    | Some plan when Faults.Plan.n plan <> n ->
-        invalid_arg "Tiled.run: fault plan node count differs from vertex count"
-    | _ -> ());
-    let tile = Tile.of_dual ~tiles:k dual in
-    let k = Tile.tiles tile in
-    let owner = Array.init n (Tile.owner tile) in
-    let members = Array.init k (Tile.members tile) in
-    let nodes = match faults with None -> nodes | Some _ -> Array.copy nodes in
-    let dead = Bytes.make n '\000' in
-    let fault_cursor = Option.map Faults.Plan.cursor faults in
-    let is_dead =
-      match faults with
-      | None -> fun _ -> false
-      | Some _ -> fun v -> Bytes.unsafe_get dead v = '\001'
-    in
-    let round = ref 0 in
-    let jammed =
-      match faults with
-      | None -> fun _ -> false
-      | Some plan when not (Faults.Plan.has_jams plan) -> fun _ -> false
-      | Some plan -> fun v -> Faults.Plan.jammed plan ~node:v ~round:!round
-    in
-    (* Reception model, fixed for the run.  Under SINR the field is
-       loaded by the coordinator each round and [Sinr.receive] is a pure
-       function of the loaded state, so tiles may evaluate their
-       listeners in any order — the trace cannot depend on the tiling. *)
-    let sinr_field =
-      match reception with
-      | Reception.Dual_graph -> None
-      | Reception.Sinr p -> Some (Sinr.create ~params:p dual)
-    in
-    let jam_suppresses = Option.is_none sinr_field in
-    let has_jams =
-      match faults with
-      | Some plan -> Faults.Plan.has_jams plan
-      | None -> false
-    in
-    let g_off = Graph.csr_offsets (Dual.g dual) in
-    let g_adj = Graph.csr_neighbors (Dual.g dual) in
-    let m = Dual.unreliable_count dual in
-    let eu = Array.make (max m 1) 0 and ev = Array.make (max m 1) 0 in
-    Array.iteri
-      (fun i (u, v) ->
-        eu.(i) <- u;
-        ev.(i) <- v)
-      (Dual.unreliable_edges dual);
-    let sparse = Array.make (max m 1) 0 in
-    let adj_head = Array.make n (-1) in
-    let adj_next = Array.make (max (2 * m) 1) 0 in
-    let adj_nbr = Array.make (max (2 * m) 1) 0 in
-    let ctr_active, ctr_resolved =
-      match metrics with
-      | None -> (None, None)
-      | Some reg ->
-          ( Some (Obs.Metrics.counter reg "engine.active_edges"),
-            Some (Obs.Metrics.counter reg "scheduler.edges_resolved") )
-    in
-    let ctr_crash, ctr_restart, ctr_jam =
-      match (metrics, faults) with
-      | Some reg, Some _ ->
-          ( Some (Obs.Metrics.counter reg "faults.crashes"),
-            Some (Obs.Metrics.counter reg "faults.restarts"),
-            Some (Obs.Metrics.counter reg "faults.jams") )
-      | _ -> (None, None, None)
-    in
-    (* Per-listener reception accumulator, unboxed: -1 nothing heard,
-       >= 0 the single transmitter heard so far, -2 collided.  A slot is
-       written only by the listener's owning tile (remote transmissions
-       arrive through the outboxes), so the phases below are race-free
-       by ownership. *)
-    let heard = A1.create Bigarray.int Bigarray.c_layout n in
-    A1.fill heard (-1);
-    let transmit = Bytes.make n '\000' in
-    let tx = Array.init k (fun _ -> ibuf_make ()) in
-    (* SINR only: the round's global transmitter list in ascending id
-       order, and the round's transmitter count — shared with the absorb
-       phase, which must know whether the field was loaded at all. *)
-    let tx_global = Array.make (max n 1) 0 in
-    let tcount = ref 0 in
-    let touched = Array.init k (fun _ -> ibuf_make ()) in
-    let outbox = Array.init k (fun _ -> Array.init k (fun _ -> ibuf_make ())) in
-    let jam_hits = Array.make k 0 in
-    let record_escapes = observer <> None || stop <> None in
-    let inputs_r = ref (Array.make n []) in
-    let actions_r = ref (Array.make n Process.Listen) in
-    let delivered_r = ref (Array.make n None) in
-    let outputs_r = ref (Array.make n []) in
-    let pure_env = env.Env.pure_inputs in
-    let push_local tb w src =
-      let cur = A1.unsafe_get heard w in
-      if cur = -1 then begin
-        A1.unsafe_set heard w src;
-        ibuf_push tb w
-      end
-      else if cur <> -2 then A1.unsafe_set heard w (-2)
-    in
-    let phase_decide i =
-      let t = !round in
-      let inputs = !inputs_r and actions = !actions_r in
-      let mem = members.(i) in
-      let txb = tx.(i) in
-      txb.len <- 0;
-      let jams = ref 0 in
-      for idx = 0 to Array.length mem - 1 do
-        let v = Array.unsafe_get mem idx in
-        if is_dead v then begin
-          inputs.(v) <- [];
-          actions.(v) <- Process.Listen;
-          Bytes.unsafe_set transmit v '\000'
-        end
-        else begin
-          if pure_env then inputs.(v) <- env.Env.inputs ~round:t ~node:v;
-          let a = nodes.(v).Process.decide ~round:t inputs.(v) in
-          actions.(v) <- a;
-          match a with
-          | Process.Transmit _ ->
-              if jam_suppresses && jammed v then begin
-                incr jams;
-                Bytes.unsafe_set transmit v '\000'
-              end
-              else begin
-                Bytes.unsafe_set transmit v '\001';
-                ibuf_push txb v
-              end
-          | Process.Listen -> Bytes.unsafe_set transmit v '\000'
-        end
-      done;
-      jam_hits.(i) <- !jams
-    in
-    let phase_push i =
-      let txb = tx.(i) in
-      let tb = touched.(i) in
-      let ob = outbox.(i) in
-      for idx = 0 to txb.len - 1 do
-        let v = Array.unsafe_get txb.data idx in
-        let deliver w =
-          let o = Array.unsafe_get owner w in
-          if o = i then push_local tb w v
-          else begin
-            let b = Array.unsafe_get ob o in
-            ibuf_push b w;
-            ibuf_push b v
-          end
-        in
-        for j = g_off.(v) to g_off.(v + 1) - 1 do
-          deliver (Array.unsafe_get g_adj j)
-        done;
-        let j = ref (Array.unsafe_get adj_head v) in
-        while !j >= 0 do
-          deliver (Array.unsafe_get adj_nbr !j);
-          j := Array.unsafe_get adj_next !j
-        done
-      done
-    in
-    (* SINR reception, transmitter-centric: tile i owns the contiguous
-       slot range [i·n/k, (i+1)·n/k) of the field's column-major
-       listener CSR (the same spatial ranking Tile stripes, so the load
-       split matches the member split), walks only the columns of that
-       range that are active this round, and writes verdicts into
-       [heard] with the dual path's -2/src encoding.  Two tiles sharing
-       a split column scan disjoint slot sub-ranges, so the batched
-       scratch inside [f] is touched race-free; the skip set itself is
-       derived from topology-fixed column data only, never the tiling.
-       Runs only in contended rounds (the coordinator gates the phase on
-       tcount > 0, exactly when the reference path consulted receive). *)
-    let phase_sinr_scan i =
-      match sinr_field with
-      | None -> ()
-      | Some f ->
-          let slo = i * n / k and shi = (i + 1) * n / k in
-          let soff = Sinr.slot_off f and snode = Sinr.slot_node f in
-          let tb = touched.(i) in
-          (* faults.jams charges every jammed alive listener of a
-             contended round, in or out of band — same meaning as the
-             sequential engine's counting pass. *)
-          let jams = ref 0 in
-          if has_jams then
-            for s = slo to shi - 1 do
-              let v = Array.unsafe_get snode s in
-              if
-                Bytes.unsafe_get transmit v = '\000'
-                && (not (is_dead v))
-                && jammed v
-              then incr jams
-            done;
-          jam_hits.(i) <- !jams;
-          let s = ref slo in
-          while !s < shi do
-            let c = Sinr.column_of f (Array.unsafe_get snode !s) in
-            let cend = min shi (Array.unsafe_get soff (c + 1)) in
-            if Sinr.column_active f c then begin
-              Sinr.scan_slots f ~column:c ~lo:!s ~hi:cend;
-              for slot = !s to cend - 1 do
-                let u = Array.unsafe_get snode slot in
-                if Bytes.unsafe_get transmit u = '\000' && not (is_dead u)
-                then begin
-                  match Sinr.verdict f ~jammed:(jammed u) ~slot with
-                  | -1 -> ()
-                  | -2 ->
-                      A1.unsafe_set heard u (-2);
-                      ibuf_push tb u
-                  | src ->
-                      A1.unsafe_set heard u src;
-                      ibuf_push tb u
-                end
-              done
-            end;
-            s := cend
-          done
-    in
-    let phase_absorb i =
-      let t = !round in
-      let actions = !actions_r
-      and delivered = !delivered_r
-      and outputs = !outputs_r in
-      let tb = touched.(i) in
-      (match sinr_field with
-      | Some _ ->
-          (* No halo exchange under SINR: nothing was pushed, and the
-             scan phase already folded every verdict into [heard]. *)
-          ()
-      | None ->
-          (* Halo exchange: apply foreign transmissions addressed to this
-             tile.  Drain order (ascending source tile) is fixed but cannot
-             matter — the accumulator fold is commutative. *)
-          for src_tile = 0 to k - 1 do
-            if src_tile <> i then begin
-              let b = outbox.(src_tile).(i) in
-              let j = ref 0 in
-              while !j < b.len do
-                push_local tb
-                  (Array.unsafe_get b.data !j)
-                  (Array.unsafe_get b.data (!j + 1));
-                j := !j + 2
-              done;
-              b.len <- 0
-            end
-          done);
-      let mem = members.(i) in
-      for idx = 0 to Array.length mem - 1 do
-        let v = Array.unsafe_get mem idx in
-        let d =
-          match actions.(v) with
-          | Process.Transmit _ -> None
-          | Process.Listen ->
-              if is_dead v then None
-              else
-                let s = A1.unsafe_get heard v in
-                if s < 0 then None
-                else
-                  (match actions.(s) with
-                  | Process.Transmit msg -> Some msg
-                  | Process.Listen -> assert false)
-        in
-        delivered.(v) <- d;
-        outputs.(v) <-
-          (if is_dead v then [] else nodes.(v).Process.absorb ~round:t d)
-      done
-    in
-    let pool = Parallel.Pool.create ~workers:k in
-    Fun.protect
-      ~finally:(fun () -> Parallel.Pool.shutdown pool)
-      (fun () ->
-        let executed = ref 0 in
-        let continue = ref true in
-        while !continue && !round < rounds do
-          let t = !round in
-          (match sink with
-          | None -> ()
-          | Some s -> Obs.Sink.emit s (Obs.Event.Round_start { round = t }));
-          (match fault_cursor with
-          | None -> ()
-          | Some cur ->
-              Faults.Plan.apply cur ~round:t (fun node ev ->
-                  match ev with
-                  | Faults.Plan.Crash ->
-                      Bytes.unsafe_set dead node '\001';
-                      (match sink with
-                      | None -> ()
-                      | Some s ->
-                          Obs.Sink.emit s (Obs.Event.Crash { round = t; node }));
-                      (match ctr_crash with
-                      | Some c -> Obs.Metrics.incr c
-                      | None -> ())
-                  | Faults.Plan.Restart ->
-                      Bytes.unsafe_set dead node '\000';
-                      (match revive with
-                      | Some fresh -> nodes.(node) <- fresh ~node ~round:t
-                      | None -> ());
-                      (match sink with
-                      | None -> ()
-                      | Some s ->
-                          Obs.Sink.emit s (Obs.Event.Restart { round = t; node }));
-                      (match ctr_restart with
-                      | Some c -> Obs.Metrics.incr c
-                      | None -> ())));
-          if record_escapes then begin
-            inputs_r := Array.make n [];
-            actions_r := Array.make n Process.Listen;
-            delivered_r := Array.make n None;
-            outputs_r := Array.make n []
-          end;
-          if not pure_env then begin
-            (* Stateful environments see exactly the sequential engine's
-               poll sequence: ascending nodes, dead ones skipped. *)
-            let inputs = !inputs_r in
-            for v = 0 to n - 1 do
-              inputs.(v) <-
-                (if is_dead v then [] else env.Env.inputs ~round:t ~node:v)
-            done
-          end;
-          Parallel.Pool.run pool phase_decide;
-          tcount := 0;
-          for i = 0 to k - 1 do
-            tcount := !tcount + tx.(i).len
-          done;
-          let acount = ref 0 in
-          (match sinr_field with
-          | Some f ->
-              (* The global transmitter list is rebuilt in ascending id
-                 order — the canonical accumulation order — by scanning
-                 the transmit bytes, never by concatenating per-tile
-                 lists (tile stripes do not partition the id space).
-                 The link scheduler is not consulted under SINR, and
-                 nothing is pushed: the scan phase resolves reception
-                 over the active columns, then absorb reads [heard]. *)
-              if !tcount > 0 then begin
-                let j = ref 0 in
-                for v = 0 to n - 1 do
-                  if Bytes.unsafe_get transmit v = '\001' then begin
-                    Array.unsafe_set tx_global !j v;
-                    incr j
-                  end
-                done;
-                Sinr.load_round f ~transmitters:tx_global ~count:!tcount;
-                Parallel.Pool.run pool phase_sinr_scan
-              end
-          | None ->
-              if !tcount > 0 && m > 0 then begin
-                acount :=
-                  Scheduler.fill_active_sparse scheduler ~round:t ~m sparse;
-                (match ctr_active with
-                | None -> ()
-                | Some c ->
-                    Obs.Metrics.incr ~by:!acount c;
-                    (match ctr_resolved with
-                    | Some c ->
-                        Obs.Metrics.incr
-                          ~by:
-                            (if Scheduler.resolves_sparsely scheduler then
-                               !acount
-                             else m)
-                          c
-                    | None -> ()));
-                for kk = 0 to !acount - 1 do
-                  let e = Array.unsafe_get sparse kk in
-                  let a = Array.unsafe_get eu e
-                  and b = Array.unsafe_get ev e in
-                  Array.unsafe_set adj_nbr (2 * kk) b;
-                  Array.unsafe_set adj_next (2 * kk)
-                    (Array.unsafe_get adj_head a);
-                  Array.unsafe_set adj_head a (2 * kk);
-                  Array.unsafe_set adj_nbr ((2 * kk) + 1) a;
-                  Array.unsafe_set adj_next ((2 * kk) + 1)
-                    (Array.unsafe_get adj_head b);
-                  Array.unsafe_set adj_head b ((2 * kk) + 1)
-                done
-              end;
-              if !tcount > 0 then Parallel.Pool.run pool phase_push);
-          Parallel.Pool.run pool phase_absorb;
-          (* Jam accounting: under the dual-graph model the decide phase
-             counted suppressed transmitters; under SINR the absorb
-             phase counted jammed listeners in contended rounds.  Either
-             way the per-round total lands on the counter here, at the
-             same round boundary the sequential engine reaches. *)
-          (match ctr_jam with
-          | Some c ->
-              let total = Array.fold_left ( + ) 0 jam_hits in
-              if total > 0 then Obs.Metrics.incr ~by:total c
-          | None -> ());
-          let deliveries = ref 0 and collisions = ref 0 in
-          (match sink with
-          | None -> ()
-          | Some s ->
-              for v = 0 to n - 1 do
-                if Bytes.unsafe_get transmit v = '\001' then
-                  Obs.Sink.emit s (Obs.Event.Transmit { round = t; node = v })
-              done;
-              if !tcount > 0 then begin
-                let actions = !actions_r in
-                for u = 0 to n - 1 do
-                  match actions.(u) with
-                  | Process.Transmit _ -> ()
-                  | Process.Listen when is_dead u -> ()
-                  | Process.Listen ->
-                      let sv = A1.unsafe_get heard u in
-                      if sv = -2 then begin
-                        incr collisions;
-                        Obs.Sink.emit s
-                          (Obs.Event.Collision { round = t; node = u })
-                      end
-                      else if sv >= 0 then begin
-                        incr deliveries;
-                        Obs.Sink.emit s
-                          (Obs.Event.Deliver { round = t; node = u })
-                      end
-                done
-              end);
-          if !tcount > 0 then begin
-            for kk = 0 to !acount - 1 do
-              let e = Array.unsafe_get sparse kk in
-              Array.unsafe_set adj_head (Array.unsafe_get eu e) (-1);
-              Array.unsafe_set adj_head (Array.unsafe_get ev e) (-1)
-            done;
-            for i = 0 to k - 1 do
-              let tb = touched.(i) in
-              for j = 0 to tb.len - 1 do
-                A1.unsafe_set heard (Array.unsafe_get tb.data j) (-1)
-              done;
-              tb.len <- 0
-            done
-          end;
-          let outputs = !outputs_r in
-          Array.iteri
-            (fun v outs -> if outs <> [] then env.Env.notify ~round:t ~node:v outs)
-            outputs;
-          if record_escapes then begin
-            let record =
-              {
-                Trace.round = t;
-                inputs = !inputs_r;
-                actions = !actions_r;
-                delivered = !delivered_r;
-                outputs = !outputs_r;
-              }
-            in
-            (match observer with Some f -> f record | None -> ());
-            match stop with Some p when p record -> continue := false | _ -> ()
-          end;
-          (match sink with
-          | None -> ()
-          | Some s ->
-              Obs.Sink.emit s
-                (Obs.Event.Round_end
-                   {
-                     round = t;
-                     transmitters = !tcount;
-                     deliveries = !deliveries;
-                     collisions = !collisions;
-                   }));
-          incr executed;
-          incr round
-        done;
-        !executed)
-  end
+  Round.run ~who:"Tiled.run" ~tiles ~source:(Round.Oblivious scheduler)
+    ?observer ?stop ?sink ?metrics ?faults ?revive ?reception ~dual ~nodes ~env
+    ~rounds ()

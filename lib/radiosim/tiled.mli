@@ -6,23 +6,25 @@
     worker and as the coordinator for everything that must stay
     serial:
 
-    + {b decide} — each tile polls inputs (when the environment is
-      {!Env.pure_inputs}), steps its own nodes' [decide], and records
-      its transmitters;
-    + {b push} — each tile's transmitters push along their reliable
-      CSR slice and the round's active unreliable adjacency.
-      Receptions for listeners the tile owns land directly in the
-      shared per-listener accumulator; receptions for foreign
-      listeners are appended to a per-(source, destination) tile
+    + {b decide} — each tile polls its members' inputs (when the
+      environment is {!Env.pure_inputs}), then steps their [decide],
+      and records its transmitters;
+    + {b resolve} — under the dual-graph model each tile's transmitters
+      push along their reliable CSR slice and the round's active
+      unreliable adjacency.  Receptions for listeners the tile owns land
+      directly in the shared per-listener accumulator; receptions for
+      foreign listeners are appended to a per-(source, destination) tile
       outbox — the {e halo exchange};
-    + {b absorb} — each tile drains the outboxes addressed to it in
-      ascending source-tile order, then computes its own nodes'
-      delivery results and steps [absorb].
+    + {b absorb} — each tile drains the outboxes addressed to it, then
+      computes its own nodes' delivery results and steps [absorb].
 
-    Between phases the coordinator runs the serial spine in exactly
-    {!Engine.run}'s order: fault transitions, impure input polling,
-    scheduler activation + adjacency build, event emission, [notify],
-    observer and stop.
+    Between phases the coordinator runs the serial spine in ascending
+    node order: fault transitions, impure input polling, activation +
+    adjacency build, event emission, [notify], observer and stop.
+
+    This is the same round core {!Engine.run} runs on one tile — the
+    sequential engine is its one-tile case, with no tiling state and no
+    pool — so the two cannot drift apart.
 
     {b Determinism.}  The produced trace — round records, event
     stream, metrics — is bit-identical to {!Engine.run}'s under
@@ -34,8 +36,9 @@
     trace-visible serialization — event order, [notify] order, record
     layout — is produced by the coordinator scanning global state in
     ascending node order, never in tile order.  DESIGN.md §10 gives
-    the full argument; the property suite checks it against both
-    {!Engine.run} and {!Engine.run_reference} at several tile counts.
+    the full argument; the golden corpus anchors the one-tile case, and
+    the property suite checks several tile counts against it and
+    against the frozen reference resolver in [test/oracle].
 
     {b Requirements.}  Node processes must be {e node-independent}:
     [decide]/[absorb] closures may touch only their own node's state
@@ -43,21 +46,15 @@
     own RNG).  Environments are consulted from worker domains only
     when they declare {!Env.pure_inputs}.
 
-    Per-node hot state (liveness, on-air bits, reception
-    accumulators) lives in flat [Bytes] / [Bigarray] pools rather
-    than boxed per-node records, so a 10⁶-node field costs a few
-    dozen bytes per node and the GC never scans the hot arrays.
-
-    {b Reception models.}  Under {!Reception.Sinr} the push phase (and
-    the halo exchange) disappears: the coordinator rebuilds the global
-    transmitter list in ascending id order and loads the shared
-    {!Sinr} field once per round, and each tile's absorb phase
-    evaluates its own listeners with {!Sinr.receive} — a pure function
-    of the loaded state, with every float accumulated in an order
-    fixed by the topology's grid columns, never by the tiling.  Traces
-    therefore stay bit-identical across tile counts under either
-    model; the property suite checks SINR agreement between this
-    engine and {!Engine.run} at several tile counts. *)
+    {b Reception models.}  Under {!Reception.Sinr} the resolve phase
+    scans instead of pushing, so there is no halo exchange: the
+    coordinator loads the round's transmitters, in ascending id order,
+    into the shared {!Sinr} field once per round, and each tile runs
+    {!Sinr.scan_slots} and {!Sinr.verdict} over its own contiguous
+    range of the field's listener slots.  Every float is accumulated in
+    an order fixed by the topology's grid columns, never by the tiling,
+    so traces stay bit-identical across tile counts under either
+    model. *)
 
 val default_tiles : unit -> int
 (** [1 + Parallel.Budget.suggested_extra ()] — the tile count {!run}
@@ -83,10 +80,8 @@ val run :
   int
 (** Like {!Engine.run}, executed over [tiles] tiles on as many domains
     (default {!default_tiles}; values are clamped to the vertex
-    count).  [tiles = 1] delegates to {!Engine.run} outright — the
-    single-domain path {e is} the sequential engine, not a parallel
-    code path with one worker.  Returns the number of rounds
-    executed.
+    count).  [tiles = 1] is exactly {!Engine.run}: no tiling state and
+    no pool.  Returns the number of rounds executed.
 
     An exception raised by a process on any worker domain is
     re-raised here with its backtrace after the in-flight phase

@@ -130,7 +130,7 @@ let equivalence_execution ~use_reference seed =
   let env = Radiosim.Env.null ~name:"equiv" () in
   let executed =
     if use_reference then
-      Engine.run_reference ~observer ~dual ~scheduler ~nodes ~env ~rounds:25 ()
+      Oracle.run_reference ~observer ~dual ~scheduler ~nodes ~env ~rounds:25 ()
     else Engine.run ~observer ~dual ~scheduler ~nodes ~env ~rounds:25 ()
   in
   (executed, trace)

@@ -410,7 +410,7 @@ let run_trace ?faults ?revive ~reference seed =
   let env = Radiosim.Env.null ~name:"faults-prop" () in
   let (_ : int) =
     if reference then
-      Engine.run_reference ~observer ~dual ~scheduler ~nodes ~env ~rounds:25 ()
+      Oracle.run_reference ~observer ~dual ~scheduler ~nodes ~env ~rounds:25 ()
     else
       Engine.run ~observer ?faults ?revive ~dual ~scheduler ~nodes ~env
         ~rounds:25 ()

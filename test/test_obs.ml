@@ -513,7 +513,7 @@ let test_sink_does_not_perturb_traces () =
                  ~rounds:25 ())
         | `Reference ->
             ignore
-              (Engine.run_reference ~observer ~dual ~scheduler ~nodes ~env
+              (Oracle.run_reference ~observer ~dual ~scheduler ~nodes ~env
                  ~rounds:25 ()));
         trace_fingerprint trace
       in

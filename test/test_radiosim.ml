@@ -235,32 +235,6 @@ let test_transmitter_counts_unreliable () =
   checki "node 2 sees 0 over grey edge (on)" 1 on.(2);
   checki "node 2 sees nothing (off)" 0 off.(2)
 
-(* The precomputed-incidence fast path must agree with the naive path on
-   a topology with a real grey zone, for both an all-on and an all-off
-   scheduler. *)
-let test_transmitter_counts_incidence () =
-  let dual = Geo.random_field ~rng:(Prng.Rng.of_int 71) ~n:24 ~width:3.0
-      ~height:3.0 ~r:1.8 ~gray_g':0.6 ()
-  in
-  let n = Dual.n dual in
-  let incidence = Engine.unreliable_incidence dual in
-  let rng = Prng.Rng.of_int 72 in
-  for round = 0 to 9 do
-    let transmitting = Array.init n (fun _ -> Prng.Rng.bool rng) in
-    List.iter
-      (fun scheduler ->
-        let naive =
-          Engine.transmitter_counts ~dual ~scheduler ~round ~transmitting ()
-        in
-        let fast =
-          Engine.transmitter_counts ~incidence ~dual ~scheduler ~round
-            ~transmitting ()
-        in
-        Alcotest.check (Alcotest.array Alcotest.int)
-          "precomputed incidence matches naive path" naive fast)
-      [ Sch.all_edges; Sch.reliable_only; Sch.bernoulli ~seed:round ~p:0.5 ]
-  done
-
 (* Scheduler.fill_active must agree with per-edge Scheduler.active for
    every scheduler kind, including the custom-made default derivation. *)
 let test_scheduler_fill_active () =
@@ -484,6 +458,77 @@ let test_env_inputs_reach_process () =
   in
   Alcotest.check (Alcotest.option Alcotest.int) "input at round 4" (Some 4) !got
 
+(* The closure call order engine.mli documents, which per-phase timing
+   of a run relies on: within every round all [inputs] calls (ascending,
+   dead nodes skipped), then all [decide], then all [absorb], then
+   [notify] — for every single-tile entry point. *)
+let test_engine_call_order () =
+  let n = 8 and rounds = 6 in
+  let dual = Geo.clique n in
+  let faults =
+    Faults.Plan.make ~n ~crashes:[ (2, 1); (5, 2) ] ~restarts:[ (2, 3) ] ()
+  in
+  let dead ~round v = (v = 2 && round >= 1 && round < 3) || (v = 5 && round >= 2) in
+  let expected =
+    List.concat_map
+      (fun round ->
+        let alive = List.filter (fun v -> not (dead ~round v)) (List.init n Fun.id) in
+        List.concat_map
+          (fun (kind, nodes) -> List.map (fun v -> (round, kind, v)) nodes)
+          [
+            ("inputs", alive);
+            ("decide", alive);
+            ("absorb", alive);
+            ("notify", List.filter (fun v -> v mod 3 = 0) alive);
+          ])
+      (List.init rounds Fun.id)
+  in
+  let run entry =
+    let log = ref [] in
+    let note kind ~round v = log := (round, kind, v) :: !log in
+    let nodes =
+      Array.init n (fun v ->
+          {
+            P.decide =
+              (fun ~round _ ->
+                note "decide" ~round v;
+                if (v + round) mod 4 = 0 then P.Transmit v else P.Listen);
+            absorb =
+              (fun ~round _ ->
+                note "absorb" ~round v;
+                if v mod 3 = 0 then [ v ] else []);
+          })
+    in
+    let env =
+      {
+        Env.name = "call-order";
+        pure_inputs = true;
+        inputs =
+          (fun ~round ~node ->
+            note "inputs" ~round node;
+            []);
+        notify = (fun ~round ~node _ -> note "notify" ~round node);
+      }
+    in
+    let scheduler = Sch.bernoulli ~seed:9 ~p:0.5 in
+    let (_ : int) =
+      match entry with
+      | `Run -> Engine.run ~faults ~dual ~scheduler ~nodes ~env ~rounds ()
+      | `Adaptive ->
+          Engine.run_adaptive ~faults ~dual
+            ~adversary:(Radiosim.Adaptive.of_oblivious scheduler)
+            ~nodes ~env ~rounds ()
+      | `Tiled ->
+          Radiosim.Tiled.run ~tiles:1 ~faults ~dual ~scheduler ~nodes ~env
+            ~rounds ()
+    in
+    List.rev !log
+  in
+  let pp = Alcotest.(list (triple int string int)) in
+  Alcotest.check pp "Engine.run" expected (run `Run);
+  Alcotest.check pp "Engine.run_adaptive" expected (run `Adaptive);
+  Alcotest.check pp "Tiled.run ~tiles:1" expected (run `Tiled)
+
 let suite =
   List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
     [
@@ -506,7 +551,6 @@ let suite =
       ("engine determinism", test_engine_determinism);
       ("transmitter counts", test_transmitter_counts);
       ("transmitter counts unreliable", test_transmitter_counts_unreliable);
-      ("transmitter counts precomputed incidence", test_transmitter_counts_incidence);
       ("scheduler fill_active agrees with active", test_scheduler_fill_active);
       ( "scheduler fill_active_sparse agrees with active",
         test_scheduler_fill_active_sparse );
@@ -517,4 +561,5 @@ let suite =
       ("trace fold/iter", test_trace_fold_iter);
       ("env scripted", test_env_scripted);
       ("env inputs reach process", test_env_inputs_reach_process);
+      ("engine call order", test_engine_call_order);
     ]

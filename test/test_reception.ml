@@ -220,7 +220,7 @@ let test_distance_monotonicity () =
       (Printf.sprintf "signal at %d weaker than at %d" v (v - 1))
       true (signal < !prev);
     prev := signal;
-    let verdict = Sinr.receive field ~jammed:false ~listener:v in
+    let verdict = Sinr.receive_reference field ~jammed:false ~listener:v in
     let expect = if float_of_int v <= 4.05 then 0 else -2 in
     Alcotest.(check int)
       (Printf.sprintf "decode verdict at distance %d" v)
@@ -375,8 +375,8 @@ let naive_receive ~params ~emb ~transmitters ~listener =
 (* A transmitter exactly on a near-band column boundary: cell = max r 1
    = 1, a node at x = 0 pins the grid origin, and the transmitter sits
    at x = 3.0 — the edge between columns 2 and 3 (half-open cells put it
-   in column 3).  Activation, the per-listener path and the batched slot
-   path must all agree with the frozen dense reference. *)
+   in column 3).  Activation and the batched slot path must agree with
+   the frozen dense reference. *)
 let test_boundary_column () =
   let xs = [| 0.0; 0.5; 1.5; 2.5; 3.0; 3.5; 4.5; 5.5 |] in
   let n = Array.length xs in
@@ -410,10 +410,6 @@ let test_boundary_column () =
   for u = 0 to n - 1 do
     if u <> tx then begin
       let rr = Sinr.receive_reference field ~jammed:false ~listener:u in
-      Alcotest.(check int)
-        (Printf.sprintf "receive(%d) = reference" u)
-        rr
-        (Sinr.receive field ~jammed:false ~listener:u);
       if not (Sinr.column_active field (Sinr.column_of field u)) then
         Alcotest.(check int) (Printf.sprintf "skipped listener %d silent" u)
           (-1) rr
@@ -567,6 +563,16 @@ let qcheck_cases =
             ~count:(Array.length transmitters);
           let is_tx = Array.make n false in
           Array.iter (fun v -> is_tx.(v) <- true) transmitters;
+          (* The band covers the field, so a batched scan of every
+             column yields every node's verdict. *)
+          let verdict = Array.make n (-1) in
+          let soff = Sinr.slot_off field and snode = Sinr.slot_node field in
+          for c = 0 to Sinr.cols field - 1 do
+            Sinr.scan_slots field ~column:c ~lo:soff.(c) ~hi:soff.(c + 1);
+            for s = soff.(c) to soff.(c + 1) - 1 do
+              verdict.(snode.(s)) <- Sinr.verdict field ~jammed:false ~slot:s
+            done
+          done;
           let ok = ref true in
           for u = 0 to n - 1 do
             if not is_tx.(u) then begin
@@ -578,15 +584,19 @@ let qcheck_cases =
               in
               (* Different accumulation orders, so compare to relative
                  tolerance; the candidate and its (order-free) signal
-                 must agree exactly. *)
+                 must agree exactly.  Interference is the band sum minus
+                 the signal, so its rounding error scales with the whole
+                 sum: a near-coincident transmitter's huge signal leaves
+                 a few ulps of it in the difference. *)
               let close a b =
-                Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b)
+                Float.abs (a -. b)
+                <= 1e-9 *. Float.max 1.0 (Float.abs b +. gsig)
               in
               if
                 nbest <> gbest
                 || nsig <> gsig
                 || not (close ninterf ginterf)
-                || Sinr.receive field ~jammed:false ~listener:u
+                || verdict.(u)
                    <> (if nbest < 0 then -1
                        else if gsig >= params.Reception.beta *. ginterf then
                          nbest
@@ -637,8 +647,6 @@ let qcheck_cases =
           for u = 0 to n - 1 do
             if not is_tx.(u) then begin
               let rr = Sinr.receive_reference field ~jammed:jam.(u) ~listener:u in
-              if Sinr.receive field ~jammed:jam.(u) ~listener:u <> rr then
-                ok := false;
               if
                 (not (Sinr.column_active field (Sinr.column_of field u)))
                 && rr <> -1

@@ -168,7 +168,7 @@ let run_plain ~how ~rounds seed =
   let executed =
     match how with
     | `Reference ->
-        Engine.run_reference ~observer ~dual ~scheduler ~nodes ~env ~rounds ()
+        Oracle.run_reference ~observer ~dual ~scheduler ~nodes ~env ~rounds ()
     | `Tiled tiles ->
         Tiled.run ~observer ~tiles ~dual ~scheduler ~nodes ~env ~rounds ()
   in
@@ -414,7 +414,7 @@ let qcheck_cases =
           [ 1; 2; 3; 5 ])
       ;
     Test.make
-      ~name:"tile obliviousness: any tiling equals Engine.run_reference"
+      ~name:"tile obliviousness: any tiling equals Oracle.run_reference"
       ~count:30 small_int
       (fun seed ->
         let rounds = 15 in
