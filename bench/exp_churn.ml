@@ -30,7 +30,6 @@ open Exp_common
 module Dual = Dualgraph.Dual
 module Sch = Radiosim.Scheduler
 module Engine = Radiosim.Engine
-module Trace = Radiosim.Trace
 module M = Localcast.Messages
 module Params = Localcast.Params
 module Plan = Faults.Plan
@@ -39,44 +38,24 @@ module Table = Stats.Table
 
 let sender = 0
 
-(* A Decay sender with a finite retransmission budget: decays for
-   [budget] rounds, then falls silent. *)
-let budgeted_decay ~budget ~levels ~message ~rng =
-  let inner = Baseline.Decay.node ~levels ~message ~rng in
-  {
-    Radiosim.Process.decide =
-      (fun ~round input ->
-        if round < budget then inner.Radiosim.Process.decide ~round input
-        else Radiosim.Process.Listen);
-    absorb = inner.Radiosim.Process.absorb;
-  }
-
-(* First clean reception of the sender's message per node, under the
-   budgeted Decay sender and the given fault plan. *)
+(* First clean reception of the sender's message per node, under a
+   Decay sender with a finite retransmission budget (silent from round
+   [budget] on) and the given fault plan. *)
 let decay_trial ~dual ~plan ~budget ~horizon ~seed =
   let n = Dual.n dual in
   let rng = Prng.Rng.of_int seed in
+  let levels = Baseline.Strategy.levels_for ~delta':(Dual.delta' dual) in
   let nodes =
     Array.init n (fun v ->
         if v = sender then
-          budgeted_decay ~budget
-            ~levels:(Baseline.Decay.levels_for ~delta':(Dual.delta' dual))
-            ~message:(M.payload ~src:sender ~uid:0 ())
-            ~rng:(Prng.Rng.split rng)
+          Baseline.Strategy.relay (Decay { levels })
+            ~initial:(M.payload ~src:sender ~uid:0 ())
+            ~budget ~rng:(Prng.Rng.split rng) ~node:v ()
         else Baseline.Harness.receiver ())
   in
-  let first = Array.make n max_int in
-  let observer record =
-    Array.iteri
-      (fun v delivered ->
-        match delivered with
-        | Some (M.Data p) when p.M.src = sender && first.(v) = max_int ->
-            first.(v) <- record.Trace.round
-        | _ -> ())
-      record.Trace.delivered
-  in
+  let cov = Baseline.Harness.coverage ~n ~source:sender in
   let (_ : int) =
-    Engine.run ~observer ~faults:plan
+    Engine.run ~observer:(Baseline.Harness.observe cov) ~faults:plan
       ~revive:(fun ~node:_ ~round:_ -> Baseline.Harness.receiver ())
       ~dual
       ~scheduler:(Sch.bernoulli ~seed ~p:0.5)
@@ -84,7 +63,9 @@ let decay_trial ~dual ~plan ~budget ~horizon ~seed =
       ~env:(Radiosim.Env.null ~name:"e20" ())
       ~rounds:horizon ()
   in
-  fun v -> if first.(v) = max_int then None else Some first.(v)
+  fun v ->
+    let first = cov.Baseline.Harness.first.(v) in
+    if first = max_int then None else Some first
 
 (* LBAlg one-shot under the same plan; receptions read off the
    environment log.  Also audits the run's event stream. *)

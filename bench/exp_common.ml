@@ -117,6 +117,26 @@ let decay_first_reception ~dual ~scheduler ~receiver ~seed ~max_rounds =
   in
   Baseline.Harness.first_reception ~dual ~scheduler ~nodes ~receiver ~max_rounds
 
+(* A one-message flood over the abstract MAC layer: Serve over the
+   batch [source], with the whole round budget as ttl so the message can
+   only complete or run out of rounds.  Returns the covered count and,
+   if every node got it, the completion round. *)
+let mac_flood ~params ~rng ~dual ~scheduler ~source ~max_rounds =
+  let workload =
+    Macapps.Workload.create
+      ~process:(Batch { sources = [ source ] })
+      ~n:(Dual.n dual) ~seed:0 ()
+  in
+  let r =
+    Macapps.Serve.run
+      ~config:(Macapps.Serve.config ~ttl:max_rounds ())
+      ~workload ~params ~rng ~dual ~scheduler ~rounds:max_rounds ()
+  in
+  ( r.Macapps.Serve.first_receptions,
+    if r.Macapps.Serve.completed = 1 then
+      Some (int_of_float r.Macapps.Serve.delivery_max)
+    else None )
+
 let mean_option_latency ~max_rounds samples =
   let value = function Some l -> float_of_int l | None -> float_of_int max_rounds in
   Stats.Summary.mean (List.map value samples)

@@ -2,10 +2,12 @@
 
    Two floods of the same message over the same multihop dual graphs:
 
-   - Flood_decay: the classical physical-layer construction [2] — relay
-     with a Decay sweep for a bounded window, no acknowledgements;
-   - Macapps.Flood: the same logic written over the abstract MAC layer,
-     which keeps retransmitting until the reliability guarantee fires.
+   - flood-decay: the classical physical-layer construction [2] — every
+     node a Strategy.relay with the Decay sweep for a bounded window of
+     relay epochs, no acknowledgements;
+   - mac-flood: the same logic written over the abstract MAC layer (a
+     one-message Serve batch), which keeps retransmitting until the
+     reliability guarantee fires.
 
    On reliable schedules the raw flood is enormously cheaper.  On dual
    graphs with unreliable links switched in, its bounded relay windows
@@ -20,6 +22,35 @@ module Geo = Dualgraph.Geometric
 module Sch = Radiosim.Scheduler
 module Params = Localcast.Params
 module Table = Stats.Table
+module Harness = Baseline.Harness
+
+(* The raw flood from node 0: Decay relays live for [relay_epochs]
+   epochs from acquisition, node streams split in node order from the
+   trial seed.  Returns the covered count and, if every node got the
+   message, the completion round. *)
+let decay_flood ~dual ~scheduler ~seed ~relay_epochs ~max_rounds =
+  let n = Dual.n dual in
+  let levels = Baseline.Strategy.levels_for ~delta':(Dual.delta' dual) in
+  let message = M.payload ~src:0 ~uid:0 () in
+  let rng = Prng.Rng.of_int seed in
+  let nodes =
+    Array.init n (fun v ->
+        Baseline.Strategy.relay (Decay { levels })
+          ?initial:(if v = 0 then Some message else None)
+          ~window:(relay_epochs * levels) ~rng:(Prng.Rng.split rng) ~node:v ())
+  in
+  let cov = Harness.coverage ~n ~source:0 in
+  let (_ : int) =
+    Radiosim.Engine.run ~observer:(Harness.observe cov)
+      ~stop:(fun _ -> cov.Harness.covered = n)
+      ~dual ~scheduler ~nodes
+      ~env:(Radiosim.Env.null ~name:"flood-decay" ())
+      ~rounds:max_rounds ()
+  in
+  ( cov.Harness.covered,
+    if cov.Harness.covered = n then
+      Some (Array.fold_left max 0 cov.Harness.first)
+    else None )
 
 let run () =
   section "E18: physical-layer flood vs MAC-layer flood (global broadcast)";
@@ -47,24 +78,14 @@ let run () =
              same seed. *)
           let raw_samples =
             run_trials ~salt:n ~n:trials (fun ~trial:_ ~seed ->
-                let result =
-                  Baseline.Flood_decay.run
-                    ~rng:(Prng.Rng.of_int seed)
-                    ~dual ~scheduler ~source:0 ~relay_epochs:2
-                    ~max_rounds:raw_budget ()
-                in
-                ( result.Baseline.Flood_decay.covered_count,
-                  result.Baseline.Flood_decay.completion_round ))
+                decay_flood ~dual ~scheduler ~seed ~relay_epochs:2
+                  ~max_rounds:raw_budget)
           in
           let mac_samples =
             run_trials ~salt:n ~n:trials (fun ~trial:_ ~seed ->
-                let result =
-                  Macapps.Flood.run ~params
-                    ~rng:(Prng.Rng.of_int seed)
-                    ~dual ~scheduler ~source:0 ~max_rounds:mac_budget ()
-                in
-                ( result.Macapps.Flood.covered_count,
-                  result.Macapps.Flood.completion_round ))
+                mac_flood ~params
+                  ~rng:(Prng.Rng.of_int seed)
+                  ~dual ~scheduler ~source:0 ~max_rounds:mac_budget)
           in
           let fold samples =
             let cov = ref 0 and total = ref 0 in

@@ -32,17 +32,12 @@ let run () =
       let hops = n - 1 in
       let samples =
         run_trials ~salt:n ~n:trials (fun ~trial:_ ~seed ->
-            let result =
-              Macapps.Flood.run ~params
-                ~rng:(Prng.Rng.of_int seed)
-                ~dual
-                ~scheduler:(Sch.bernoulli ~seed ~p:0.5)
-                ~source:0
-                ~max_rounds:(50 * n * params.Params.phase_len)
-                ()
-            in
-            ( result.Macapps.Flood.covered_count,
-              result.Macapps.Flood.completion_round ))
+            mac_flood ~params
+              ~rng:(Prng.Rng.of_int seed)
+              ~dual
+              ~scheduler:(Sch.bernoulli ~seed ~p:0.5)
+              ~source:0
+              ~max_rounds:(50 * n * params.Params.phase_len))
       in
       let completions = ref [] and covered = ref 0 and total = ref 0 in
       List.iter

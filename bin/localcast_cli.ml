@@ -4,11 +4,11 @@
      topo   — generate a dual graph and describe it
      seed   — run seed agreement and report the Seed spec outcome
      run    — run LBAlg under an oblivious scheduler and report the LB spec
-     flood  — run the abstract-MAC-layer flood application
      trace  — print a round-by-round execution transcript
      verify — CI-style specification check, non-zero exit on failure
      scale-smoke — tiled engine at size, with a tiling-invariant trace hash
-     serve  — open-loop multi-message serving over the MAC (load smoke)
+     serve  — multi-message serving over the MAC: open-loop load, or a
+              closed batch (batch:S is the flood)
      tournament — race back-off strategies (and LBAlg) with ranked tables
 
    Every run is a pure function of --seed, so reported numbers are
@@ -114,7 +114,13 @@ let make_topology ?load kind ~seed ~n ~width ~r ~gray =
   | `Line -> Geo.line ~n ~spacing:0.9 ~r ()
   | `Gray -> Geo.gray_cluster ~k:(max 1 (n - 2)) ~r:(Float.max r 1.41) ()
 
+(* Every subcommand's scheduler comes through here, so --link-p is
+   range-checked once for all of them. *)
 let make_scheduler kind ~seed ~p =
+  if not (p >= 0.0 && p <= 1.0) then begin
+    Format.eprintf "--link-p must be in [0, 1], got %g@." p;
+    exit 2
+  end;
   match kind with
   | `Reliable -> Sch.reliable_only
   | `All -> Sch.all_edges
@@ -399,39 +405,6 @@ let run_cmd =
       $ width_arg $ r_arg $ gray_arg $ eps_arg $ phases_arg $ senders_arg
       $ tack_arg $ load_arg $ events_arg $ metrics_arg $ audit_arg
       $ faults_arg $ reception_arg)
-
-(* --- flood --- *)
-
-let flood_cmd =
-  let source_arg =
-    Arg.(value & opt int 0 & info [ "source" ] ~docv:"ID" ~doc:"Flood source.")
-  in
-  let run topology scheduler link_p seed n width r gray eps source load =
-    let dual = make_topology ?load topology ~seed ~n ~width ~r ~gray in
-    Format.printf "%a@." Dual.pp dual;
-    let params = L.Params.of_dual ~eps1:eps ~tack_phases:3 dual in
-    let result =
-      Macapps.Flood.run ~params
-        ~rng:(Prng.Rng.of_int (seed + 1))
-        ~dual
-        ~scheduler:(make_scheduler scheduler ~seed ~p:link_p)
-        ~source
-        ~max_rounds:(200 * Dual.n dual * params.L.Params.phase_len)
-        ()
-    in
-    Format.printf "covered %d/%d nodes with %d relays@."
-      result.Macapps.Flood.covered_count (Dual.n dual) result.Macapps.Flood.relays;
-    match result.Macapps.Flood.completion_round with
-    | Some round -> Format.printf "flood complete at round %d@." round
-    | None ->
-        Format.printf "flood incomplete after %d rounds@."
-          result.Macapps.Flood.rounds_executed
-  in
-  Cmd.v
-    (Cmd.info "flood" ~doc:"Flood a message over the abstract MAC layer.")
-    Term.(
-      const run $ topology_arg $ scheduler_arg $ link_p_arg $ seed_arg $ n_arg
-      $ width_arg $ r_arg $ gray_arg $ eps_arg $ source_arg $ load_arg)
 
 (* --- trace --- *)
 
@@ -744,9 +717,11 @@ let serve_cmd =
       value & opt string "poisson:0.002"
       & info [ "workload" ] ~docv:"SPEC"
           ~doc:
-            "Arrival process: poisson:RATE, bursty:RATE:ON_MEAN:OFF_MEAN or \
+            "Arrival process: poisson:RATE, bursty:RATE:ON_MEAN:OFF_MEAN, \
              hotspot:RATE:HOT_FRACTION:HOT_SHARE (RATE in messages per round, \
-             network-wide; see docs/LOAD.md).")
+             network-wide) or batch:S1,S2,... (one message per listed \
+             source at round 0; the run stops once none is in flight, and \
+             batch:S is the flood from S).  See docs/LOAD.md.")
   in
   let policy_arg =
     Arg.(
@@ -797,10 +772,14 @@ let serve_cmd =
           exit 2
     in
     let params = L.Params.of_dual ~eps1:eps ~tack_phases:2 dual in
-    let config =
-      Macapps.Serve.config ~queue_cap ~max_inflight ~ttl ~policy ()
+    let config, wl =
+      try
+        ( Macapps.Serve.config ~queue_cap ~max_inflight ~ttl ~policy (),
+          Macapps.Workload.create ~process ~n ~seed () )
+      with Invalid_argument msg ->
+        Format.eprintf "serve: %s@." msg;
+        exit 2
     in
-    let wl = Macapps.Workload.create ~process ~n ~seed () in
     Format.printf
       "serving %a under %a for %d rounds (f_ack = %d rounds)@."
       Macapps.Workload.pp_process process Macapps.Serve.pp_policy policy rounds
@@ -1011,5 +990,5 @@ let () =
     (Cmd.eval
        (Cmd.group
           (Cmd.info "localcast" ~doc)
-          [ topo_cmd; seed_cmd; run_cmd; flood_cmd; trace_cmd; verify_cmd;
+          [ topo_cmd; seed_cmd; run_cmd; trace_cmd; verify_cmd;
             scale_cmd; serve_cmd; tournament_cmd ]))

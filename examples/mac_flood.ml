@@ -3,10 +3,11 @@
    The paper's introduction argues that LBAlg can serve as an abstract
    MAC layer implementation, porting the corpus of MAC-layer algorithms
    to the dual graph model.  This example is that composition in action:
-   Macapps.Flood is written purely against Localcast.Mac (bcast / ack /
-   recv events and the f_prog/f_ack bounds) and knows nothing about
-   rounds, collisions or link schedulers — yet it completes across a
-   multihop chain whose unreliable links flap adversarially.
+   the flood is Macapps.Serve over a one-message batch, written purely
+   against Localcast.Mac (bcast / ack / recv events and the f_prog/f_ack
+   bounds) and knowing nothing about rounds, collisions or link
+   schedulers — yet it completes across a multihop chain whose
+   unreliable links flap adversarially.
 
    Run with:  dune exec examples/mac_flood.exe *)
 
@@ -32,23 +33,29 @@ let () =
       let params = Localcast.Params.of_dual ~eps1:0.1 ~tack_phases:3 dual in
       List.iter
         (fun (name, mk_sched) ->
+          let max_rounds = 100 * n * params.Localcast.Params.phase_len in
           let result =
-            Macapps.Flood.run ~params ~rng:(Prng.Rng.of_int (n * 37)) ~dual
-              ~scheduler:(mk_sched n) ~source:0
-              ~max_rounds:(100 * n * params.Localcast.Params.phase_len)
-              ()
+            Macapps.Serve.run
+              ~config:(Macapps.Serve.config ~ttl:max_rounds ())
+              ~workload:
+                (Macapps.Workload.create
+                   ~process:(Batch { sources = [ 0 ] })
+                   ~n ~seed:0 ())
+              ~params ~rng:(Prng.Rng.of_int (n * 37)) ~dual
+              ~scheduler:(mk_sched n) ~rounds:max_rounds ()
           in
+          (* the completion round, or the whole budget if it ran out *)
           let rounds =
-            match result.Macapps.Flood.completion_round with
-            | Some r -> r
-            | None -> result.Macapps.Flood.rounds_executed
+            if result.Macapps.Serve.completed = 1 then
+              int_of_float result.Macapps.Serve.delivery_max
+            else result.Macapps.Serve.rounds
           in
           Stats.Table.add_row table
             [
               Stats.Table.cell_int (n - 1);
               name;
-              Printf.sprintf "%d/%d" result.Macapps.Flood.covered_count n;
-              Stats.Table.cell_int result.Macapps.Flood.relays;
+              Printf.sprintf "%d/%d" result.Macapps.Serve.first_receptions n;
+              Stats.Table.cell_int result.Macapps.Serve.relays;
               Stats.Table.cell_int rounds;
               Stats.Table.cell_int (rounds / max 1 (n - 1));
             ])

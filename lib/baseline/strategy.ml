@@ -182,9 +182,12 @@ let sender spec ~message ~rng ~node =
   in
   { Radiosim.Process.decide; absorb }
 
-let relay spec ?initial ?budget ~rng ~node () =
+let relay spec ?initial ?budget ?window ~rng ~node () =
   (match budget with
   | Some b when b < 0 -> invalid_arg "Strategy.relay: budget must be >= 0"
+  | _ -> ());
+  (match window with
+  | Some w when w < 1 -> invalid_arg "Strategy.relay: window must be >= 1"
   | _ -> ());
   let st = init spec ~rng ~node in
   let holding = ref initial in
@@ -196,7 +199,9 @@ let relay spec ?initial ?budget ~rng ~node () =
      rounds, not a per-relay allowance: every relay falls silent from
      round [budget] on, exactly like experiment E20's budgeted sender. *)
   let active round =
-    round - !base >= 0
+    let local = round - !base in
+    local >= 0
+    && (match window with None -> true | Some w -> local < w)
     && match budget with None -> true | Some b -> round < b
   in
   let decide ~round _inputs =

@@ -155,6 +155,7 @@ val relay :
   t ->
   ?initial:Localcast.Messages.payload ->
   ?budget:int ->
+  ?window:int ->
   rng:Prng.Rng.t ->
   node:int ->
   unit ->
@@ -170,7 +171,12 @@ val relay :
     ack-free baseline must fix in advance (experiment E20's collapse
     under churn is exactly this window expiring before churned
     receivers return, and the relay with [initial] and [budget] is
-    draw-for-draw E20's budgeted sender).  Feedback flows only while
-    the relay is active; a
+    draw-for-draw E20's budgeted sender).  [window] (≥ 1), when given,
+    silences each relay from local round [window] on: [Decay {levels}]
+    relays with [window = e · levels] are the raw physical-layer flood
+    with [e] relay epochs (experiment E18).  Both bounds are checked
+    before {!decide}, so no draw is taken outside them, and whichever
+    closes first silences the relay.  Feedback flows only while the
+    relay is active; a
     crashed-and-revived relay (fresh state via {!node_rng} with the
     revival round) has lost the message and starts silent again. *)

@@ -74,16 +74,8 @@ let strategy_trial arena spec ~seed =
           ~rng:(Strategy.node_rng ~seed ~node:v ())
           ~node:v ())
   in
-  let first = Array.make n max_int in
-  let observer record =
-    Array.iteri
-      (fun v delivered ->
-        match delivered with
-        | Some (M.Data p) when p.M.src = sender && first.(v) = max_int ->
-            first.(v) <- record.Radiosim.Trace.round
-        | _ -> ())
-      record.Radiosim.Trace.delivered
-  in
+  let cov = Harness.coverage ~n ~source:sender in
+  let observer = Harness.observe cov in
   let sink = Obs.Sink.create () in
   let cost = transmit_counter sink in
   let plan = Option.map (fun f -> f ~seed) arena.plan_of in
@@ -106,7 +98,7 @@ let strategy_trial arena spec ~seed =
           ~adversary:(Radiosim.Adaptive.jam dual)
           ~nodes ~env ~rounds:horizon ()
   in
-  (first, !cost, plan)
+  (cov.Harness.first, !cost, plan)
 
 let lbalg_trial arena ~seed =
   let { dual; params; sender; _ } = arena in

@@ -10,9 +10,9 @@
     callbacks, enforces the one-outstanding-bcast rule, and reports
     [f_prog = t_prog] and [f_ack = t_ack].
 
-    Applications written against this interface (e.g. {!Macapps.Flood})
-    run on the dual graph model unchanged — the porting claim of the
-    paper's introduction. *)
+    Applications written against this interface (e.g. {!Macapps.Serve},
+    whose one-message batch is the flood) run on the dual graph model
+    unchanged — the porting claim of the paper's introduction. *)
 
 type callbacks = {
   on_recv : node:int -> round:int -> Messages.payload -> unit;

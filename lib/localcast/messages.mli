@@ -3,8 +3,8 @@
     The paper gives every node [u] a private message set [M_u], pairwise
     disjoint across nodes; we realize a member of [M_u] as a {!payload}
     whose [src] is [u] and whose [uid] is unique at [u].  The optional
-    [tag] carries application data (e.g. the flood identifier in
-    {!Macapps.Flood}) without breaking disjointness.
+    [tag] carries application data (e.g. the interned message id in
+    {!Macapps.Serve}) without breaking disjointness.
 
     On the wire both layers share one [msg] type, because LBAlg
     interleaves seed agreement preambles with data body rounds in the

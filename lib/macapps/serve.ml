@@ -46,9 +46,11 @@ type report = {
   stale_skips : int;
   acks : int;
   ack_misses : int;
+  first_receptions : int;
   goodput : float;
   delivery_p50 : float;
   delivery_p99 : float;
+  delivery_max : float;
   ack_p50 : float;
   ack_p99 : float;
   max_queue_depth : int;
@@ -61,12 +63,15 @@ let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>rounds %d: %d arrivals = %d admitted + %d rejected@,\
      admitted = %d completed + %d expired + %d inflight@,\
-     %d relays (%d dropped, %d stale skips), %d acks (%d deadline misses)@,\
-     goodput %.4f/round; delivery p50/p99 %.0f/%.0f; ack p50/p99 %.0f/%.0f@,\
+     %d relays (%d dropped, %d stale skips), %d acks (%d deadline misses), \
+     %d first receptions@,\
+     goodput %.4f/round; delivery p50/p99/max %.0f/%.0f/%.0f; ack p50/p99 \
+     %.0f/%.0f@,\
      queue depth mean %.1f max %d; minor words/round %.1f%s@]" r.rounds
     r.arrivals r.admitted r.rejected r.completed r.expired r.inflight r.relays
-    r.relay_drops r.stale_skips r.acks r.ack_misses r.goodput r.delivery_p50
-    r.delivery_p99 r.ack_p50 r.ack_p99 r.mean_queue_depth r.max_queue_depth
+    r.relay_drops r.stale_skips r.acks r.ack_misses r.first_receptions r.goodput
+    r.delivery_p50 r.delivery_p99 r.delivery_max r.ack_p50 r.ack_p99
+    r.mean_queue_depth r.max_queue_depth
     r.minor_words_per_round
     (match r.audit with
     | [] -> ""
@@ -84,6 +89,7 @@ module Core = struct
     m_stale : Obs.Metrics.counter;
     m_acks : Obs.Metrics.counter;
     m_ack_misses : Obs.Metrics.counter;
+    m_first : Obs.Metrics.counter;
     m_inflight : Obs.Metrics.gauge;
     m_depth : Obs.Metrics.gauge;
     m_delivery : Obs.Metrics.histogram;
@@ -134,6 +140,7 @@ module Core = struct
     mutable stale_skips : int;
     mutable acks : int;
     mutable ack_misses : int;
+    mutable first_receptions : int;
     mutable max_depth : int;
     q_delivery : Stats.Quantile.t;
     q_ack : Stats.Quantile.t;
@@ -170,6 +177,7 @@ module Core = struct
               m_stale = c "serve.stale_skips";
               m_acks = c "serve.acks";
               m_ack_misses = c "serve.ack_misses";
+              m_first = c "serve.first_receptions";
               m_inflight = Obs.Metrics.gauge reg "serve.inflight";
               m_depth = Obs.Metrics.gauge reg "serve.queue_depth";
               m_delivery =
@@ -216,6 +224,7 @@ module Core = struct
       stale_skips = 0;
       acks = 0;
       ack_misses = 0;
+      first_receptions = 0;
       max_depth = 0;
       q_delivery = Stats.Quantile.create ();
       q_ack = Stats.Quantile.create ();
@@ -357,6 +366,8 @@ module Core = struct
         Bigarray.Array1.unsafe_set t.seen b '\000'
       done;
       seen_set t slot node;
+      t.first_receptions <- t.first_receptions + 1;
+      mincr t.mirror (fun m -> m.m_first);
       t.admitted <- t.admitted + 1;
       t.inflight <- t.inflight + 1;
       mincr t.mirror (fun m -> m.m_admitted);
@@ -413,6 +424,8 @@ module Core = struct
       let slot = slot_of_entry t entry in
       if not (seen_get t slot node) then begin
         seen_set t slot node;
+        t.first_receptions <- t.first_receptions + 1;
+        mincr t.mirror (fun m -> m.m_first);
         t.covered.(slot) <- t.covered.(slot) + 1;
         if t.covered.(slot) = t.n then complete t slot ~round
         else enqueue t ~node ~entry ~round
@@ -465,9 +478,13 @@ module Core = struct
       stale_skips = t.stale_skips;
       acks = t.acks;
       ack_misses = t.ack_misses;
+      first_receptions = t.first_receptions;
       goodput = float_of_int t.completed /. float_of_int (max 1 rounds);
       delivery_p50 = Stats.Quantile.quantile t.q_delivery 0.5;
       delivery_p99 = Stats.Quantile.quantile t.q_delivery 0.99;
+      delivery_max =
+        (if Stats.Quantile.count t.q_delivery = 0 then Float.nan
+         else Stats.Quantile.max_value t.q_delivery);
       ack_p50 = Stats.Quantile.quantile t.q_ack 0.5;
       ack_p99 = Stats.Quantile.quantile t.q_ack 0.99;
       max_queue_depth = t.max_depth;
@@ -614,7 +631,15 @@ let run ?sink ?metrics ?warmup ~config:cfg ~workload ~params ~rng ~dual
     if round = warmup then w0 := Gc.minor_words ();
     Core.tick core ~workload ~round
   in
-  let executed = Localcast.Mac.run ?sink ?metrics ~tick mac ~scheduler ~rounds in
+  (* a closed batch is done once nothing is in flight *)
+  let stop =
+    match Workload.process workload with
+    | Workload.Batch _ -> Some (fun _ -> Core.inflight core = 0)
+    | Poisson _ | Bursty _ | Hotspot _ -> None
+  in
+  let executed =
+    Localcast.Mac.run ?sink ?metrics ?stop ~tick mac ~scheduler ~rounds
+  in
   let minor_words_per_round =
     if executed > warmup && Float.is_finite !w0 then
       (Gc.minor_words () -. !w0) /. float_of_int (executed - warmup)

@@ -1,15 +1,20 @@
-(** Heavy-traffic multi-message serving over the abstract MAC layer.
+(** Multi-message serving over the abstract MAC layer.
 
-    {!Multi_broadcast} disseminates a {e fixed} batch of [k] messages and
-    keeps O(k·n) delivery state — fine for experiments, fatal for the
-    production posture: an ongoing service facing millions of arrivals
-    has no [k].  This module is the open-loop serving engine: an
-    arrival process ({!Workload}) injects fresh messages every round,
-    each node stores-and-forwards through a {e bounded} relay queue with
-    an explicit backpressure policy, and all message state lives in a
-    pooled, generation-tagged slot table whose footprint is
-    O(max in-flight) — independent of how long the run lasts or how many
-    messages pass through.
+    An ongoing service facing millions of arrivals has no fixed message
+    count [k] to size O(k·n) delivery state by.  This module is the
+    open-loop serving engine: an arrival process ({!Workload}) injects
+    fresh messages every round, each node stores-and-forwards through a
+    {e bounded} relay queue with an explicit backpressure policy, and
+    all message state lives in a pooled, generation-tagged slot table
+    whose footprint is O(max in-flight) — independent of how long the
+    run lasts or how many messages pass through.
+
+    The closed case runs on the same engine: a [Batch] workload
+    ({!Workload.process}) puts every message at round 0, so [batch:S]
+    is the flood and [batch:S1,…,Sk] the multi-message broadcast of the
+    abstract-MAC-layer literature.  {!run} stops once such a batch has
+    nothing in flight; [first_receptions] is then the covered count and
+    [delivery_max] the completion round.
 
     The steady-state hot path (arrival draws, admission, queueing,
     relay pumping, reception, completion, expiry) allocates nothing:
@@ -82,9 +87,12 @@ type report = {
           lazy invalidation means shedding costs nothing at completion *)
   acks : int;
   ack_misses : int;  (** acks later than the deadline *)
+  first_receptions : int;  (** (message, node) pairs reached, sources too *)
   goodput : float;  (** completions per round *)
   delivery_p50 : float;  (** completion latency percentiles (rounds; *)
   delivery_p99 : float;  (** NaN when nothing completed) *)
+  delivery_max : float;
+      (** exact maximum completion latency; NaN when nothing completed *)
   ack_p50 : float;
   ack_p99 : float;
   max_queue_depth : int;  (** peak total queued relays, network-wide *)
@@ -198,8 +206,9 @@ val run :
     [rounds] rounds: arrivals are injected through the MAC's per-round
     [tick] hook, receptions and acks flow back through its callbacks,
     and a [config.ack_deadline] of [0] is replaced by the MAC's [f_ack]
-    bound.  The workload must have been created for the dual's node
-    count ([Invalid_argument] otherwise).  [minor_words_per_round] in
+    bound.  A [Batch] run stops after the first round that ends with
+    nothing in flight.  The workload must have been created for the
+    dual's node count ([Invalid_argument] otherwise).  [minor_words_per_round] in
     the report covers the whole stack (MAC and engine included), not
     just the serving layer; the serving-layer-only number comes from
     {!Sim.run}. *)

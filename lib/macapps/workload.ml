@@ -2,6 +2,7 @@ type process =
   | Poisson of { rate : float }
   | Bursty of { rate : float; on_mean : float; off_mean : float }
   | Hotspot of { rate : float; hot_fraction : float; hot_share : float }
+  | Batch of { sources : int list }
 
 let pp_process ppf = function
   | Poisson { rate } -> Format.fprintf ppf "poisson:%g" rate
@@ -9,11 +10,15 @@ let pp_process ppf = function
       Format.fprintf ppf "bursty:%g:%g:%g" rate on_mean off_mean
   | Hotspot { rate; hot_fraction; hot_share } ->
       Format.fprintf ppf "hotspot:%g:%g:%g" rate hot_fraction hot_share
+  | Batch { sources } ->
+      Format.fprintf ppf "batch:%s"
+        (String.concat "," (List.map string_of_int sources))
 
 let process_to_string p = Format.asprintf "%a" pp_process p
 
 (* Shared parameter validation: [parse] reports these as [Error]
-   (clean CLI diagnostics), [create] raises [Invalid_argument]. *)
+   (clean CLI diagnostics), [create] raises [Invalid_argument].  Only
+   [create] knows n, so it alone bounds batch sources above. *)
 let process_error = function
   | Poisson { rate } | Bursty { rate; _ } | Hotspot { rate; _ }
     when not (Float.is_finite rate && rate >= 0.0) ->
@@ -30,6 +35,8 @@ let process_error = function
   | Hotspot { hot_share; _ } when not (hot_share >= 0.0 && hot_share <= 1.0)
     ->
       Some "hot_share outside [0, 1]"
+  | Batch { sources } when List.exists (fun s -> s < 0) sources ->
+      Some "batch sources must be >= 0"
   | _ -> None
 
 let parse s =
@@ -58,11 +65,17 @@ let parse s =
       let* hot_fraction = num f in
       let* hot_share = num sh in
       validated (Hotspot { rate; hot_fraction; hot_share })
+  | [ "batch"; list ] -> (
+      match List.map int_of_string_opt (String.split_on_char ',' list) with
+      | sources when List.mem None sources ->
+          Error (Printf.sprintf "workload: bad batch sources %S" list)
+      | sources -> validated (Batch { sources = List.filter_map Fun.id sources }))
   | _ ->
       Error
         (Printf.sprintf
            "workload: %S does not match poisson:RATE | \
-            bursty:RATE:ON_MEAN:OFF_MEAN | hotspot:RATE:HOT_FRACTION:HOT_SHARE"
+            bursty:RATE:ON_MEAN:OFF_MEAN | hotspot:RATE:HOT_FRACTION:HOT_SHARE \
+            | batch:S1,S2,..."
            s)
 
 (* --- the draw substrate ---
@@ -119,6 +132,7 @@ type t = {
   on_mean : float;
   off_mean : float;
   is_hot : Bytes.t;
+  batch : int array;  (* per-node round-0 arrivals (Batch only) *)
   scratch : float array;  (* 0: Knuth running product; 1: exp(-λ) *)
 }
 
@@ -135,6 +149,15 @@ let create ~process ~n ~seed () =
   (match process_error process with
   | Some msg -> invalid_arg ("Workload.create: " ^ msg)
   | None -> ());
+  let batch = Array.make n 0 in
+  (match process with
+  | Batch { sources } ->
+      List.iter
+        (fun s ->
+          if s >= n then invalid_arg "Workload.create: batch source out of range";
+          batch.(s) <- batch.(s) + 1)
+        sources
+  | Poisson _ | Bursty _ | Hotspot _ -> ());
   let root = mix (seed lxor 0x517CC1B727220A95) in
   let base = Array.init n (fun v -> mix (root + ((v + 1) * 0x2545F4914F6CDD1D))) in
   let dur_base = Array.init n (fun v -> mix (base.(v) lxor 0x27220A95)) in
@@ -153,7 +176,7 @@ let create ~process ~n ~seed () =
         Bytes.iter (fun c -> if c = '\001' then any := true) is_hot;
         if not !any then Bytes.set is_hot (mix hot_root mod n) '\001'
       end
-  | Poisson _ | Bursty _ -> ());
+  | Poisson _ | Bursty _ | Batch _ -> ());
   let lam v =
     match process with
     | Poisson { rate } -> rate /. float_of_int n
@@ -170,12 +193,13 @@ let create ~process ~n ~seed () =
         else if Bytes.get is_hot v = '\001' then
           rate *. hot_share /. float_of_int hot_count
         else rate *. (1.0 -. hot_share) /. float_of_int cold_count
+    | Batch _ -> 0.0
   in
   let eneg = Array.init n (fun v -> exp (-.lam v)) in
   let on_mean, off_mean =
     match process with
     | Bursty { on_mean; off_mean; _ } -> (on_mean, off_mean)
-    | Poisson _ | Hotspot _ -> (1.0, 1.0)
+    | Poisson _ | Hotspot _ | Batch _ -> (1.0, 1.0)
   in
   let on_state = Bytes.make n '\000' in
   let until = Array.make n 0 in
@@ -192,7 +216,7 @@ let create ~process ~n ~seed () =
         until.(v) <- geometric_len ~mean (u52 (mix (dur_base.(v) + 1)));
         cycle.(v) <- 2
       done
-  | Poisson _ | Hotspot _ -> ());
+  | Poisson _ | Hotspot _ | Batch _ -> ());
   {
     process;
     n;
@@ -206,6 +230,7 @@ let create ~process ~n ~seed () =
     on_mean;
     off_mean;
     is_hot;
+    batch;
     scratch = Array.make 2 0.0;
   }
 
@@ -240,6 +265,7 @@ let arrivals t ~node ~round =
   t.last.(node) <- round;
   match t.process with
   | Poisson _ | Hotspot _ -> sample_poisson t ~node ~round
+  | Batch _ -> if round = 0 then Array.unsafe_get t.batch node else 0
   | Bursty _ ->
       (* catch the on/off cursor up to this round; the geometric draw is
          inlined (cf. geometric_len) so the floats stay in unboxed

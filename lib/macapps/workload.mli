@@ -2,7 +2,7 @@
 
     A workload assigns every (node, round) pair a number of fresh
     message {e arrivals} — the offered load the serving layer must
-    admit, queue or shed.  Three canonical shapes:
+    admit, queue or shed.  Three open-loop shapes and one closed one:
 
     - [Poisson]: each node draws an independent Poisson count with the
       network rate split evenly — the memoryless baseline.
@@ -13,6 +13,9 @@
     - [Hotspot]: a seed-chosen fraction of nodes carries a
       disproportionate share of the offered load (rate skew), the rest
       split the remainder — the many-users-few-talkers shape.
+    - [Batch]: one message per listed source, all at round 0 — the
+      flood ([batch:S]) and the multi-message broadcast, which
+      {!Serve.run} runs until nothing is in flight.
 
     Determinism is the point: arrivals at node [v] are a pure function
     of [(seed, v, round)] — per-node streams are derived independently
@@ -36,15 +39,19 @@ type process =
   | Hotspot of { rate : float; hot_fraction : float; hot_share : float }
       (** About [hot_fraction] of nodes (seed-chosen, at least one)
           carry [hot_share] of the offered load. *)
+  | Batch of { sources : int list }
+      (** One arrival per listed source at round 0 (a source may repeat
+          and then originates several messages); none afterwards. *)
 
 val pp_process : Format.formatter -> process -> unit
 
 val parse : string -> (process, string) result
 (** CLI grammar (docs/LOAD.md): ["poisson:RATE"],
     ["bursty:RATE:ON_MEAN:OFF_MEAN"],
-    ["hotspot:RATE:HOT_FRACTION:HOT_SHARE"].  Parameters are validated
-    the same way {!create} validates them, so an [Ok] process is always
-    accepted by {!create}. *)
+    ["hotspot:RATE:HOT_FRACTION:HOT_SHARE"], ["batch:S1,S2,…"].
+    Parameters are validated the same way {!create} validates them,
+    except that a batch source is checked against the node count only
+    by {!create}: [batch:9] parses, and [create ~n:8] rejects it. *)
 
 val process_to_string : process -> string
 (** Inverse of {!parse}. *)
@@ -53,8 +60,8 @@ type t
 
 val create : process:process -> n:int -> seed:int -> unit -> t
 (** Instantiate for [n] nodes.  Raises [Invalid_argument] on
-    negative/non-finite rates, means < 1, or fractions outside
-    [\[0, 1\]]. *)
+    negative/non-finite rates, means < 1, fractions outside
+    [\[0, 1\]], or a batch source outside [\[0, n)]. *)
 
 val process : t -> process
 
@@ -63,8 +70,8 @@ val n : t -> int
 val arrivals : t -> node:int -> round:int -> int
 (** Arrival count for the pair.  Rounds must be non-decreasing per node
     ([Invalid_argument] otherwise); across nodes any order is fine and
-    changes nothing.  Counts are capped at 64 per (node, round) so the
-    draw budget is fixed.  O(expected count), allocation-free. *)
+    changes nothing.  Random counts are capped at 64 per (node, round)
+    so the draw budget is fixed.  O(expected count), allocation-free. *)
 
 val hot : t -> node:int -> bool
 (** Whether the node is in the hotspot set ([false] for the other

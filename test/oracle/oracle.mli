@@ -19,3 +19,53 @@ val run_reference :
     traces on random configurations); the M5b micro-benchmark is the
     baseline it sets.  Deliberately takes no event sink, faults or
     reception model: the reference semantics stay frozen. *)
+
+(** The single-message flood over the abstract MAC layer, frozen as it
+    stood before flooding moved onto {!Macapps.Serve} over a one-source
+    batch (its observability hooks and tag option dropped; neither
+    touched the flood).  A source relays at round 0; every other node
+    relays once, on first reception; the run stops once all nodes are
+    covered. *)
+module Flood : sig
+  type result = {
+    covered : bool array;
+    covered_count : int;
+    completion_round : int option;
+    relays : int;
+    rounds_executed : int;
+  }
+
+  val run :
+    params:Localcast.Params.t ->
+    rng:Prng.Rng.t ->
+    dual:Dualgraph.Dual.t ->
+    scheduler:Radiosim.Scheduler.t ->
+    source:int ->
+    max_rounds:int ->
+    unit ->
+    result
+end
+
+(** The physical-layer Decay flood, frozen as it stood before it became
+    a network of windowed {!Baseline.Strategy.relay} nodes: each covered
+    node relays for [relay_epochs] Decay epochs from the round after its
+    first reception (the source from round 0), with node streams split
+    from [rng] in node order. *)
+module Flood_decay : sig
+  type result = {
+    covered : bool array;
+    covered_count : int;
+    completion_round : int option;
+    rounds_executed : int;
+  }
+
+  val run :
+    rng:Prng.Rng.t ->
+    dual:Dualgraph.Dual.t ->
+    scheduler:Radiosim.Scheduler.t ->
+    source:int ->
+    relay_epochs:int ->
+    max_rounds:int ->
+    unit ->
+    result
+end

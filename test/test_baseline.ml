@@ -400,6 +400,54 @@ let test_relay_semantics () =
       ignore
         (S.relay slotted ~budget:(-1) ~rng:(Rng.of_int 1) ~node:0 ()))
 
+let test_relay_window_budget_compose () =
+  (* The per-relay window counts local rounds from acquisition, the
+     budget engine rounds from 0; whichever closes first silences the
+     relay. *)
+  let slotted = S.Slotted { slots = 1 } in
+  let bools = Alcotest.(list bool) in
+  let holder ?budget ?window () =
+    S.relay slotted ~initial:(payload 0) ?budget ?window
+      ~rng:(S.node_rng ~seed:1 ~node:0 ())
+      ~node:0 ()
+  in
+  Alcotest.check bools "holder: window closes first"
+    [ true; true; false; false; false; false ]
+    (schedule (holder ~window:2 ~budget:4 ()) 6);
+  Alcotest.check bools "holder: budget closes first"
+    [ true; true; true; false; false; false ]
+    (schedule (holder ~window:5 ~budget:3 ()) 6);
+  Alcotest.check bools "holder: window alone"
+    [ true; true; true; true; false; false ]
+    (schedule (holder ~window:4 ()) 6);
+  (* An acquirer decoding at round 1 opens its window at round 2. *)
+  let acquirer ?budget ~window () =
+    let relay =
+      S.relay slotted ?budget ~window
+        ~rng:(S.node_rng ~seed:1 ~node:1 ())
+        ~node:1 ()
+    in
+    List.init 8 (fun round ->
+        let t =
+          match relay.P.decide ~round [] with
+          | P.Transmit _ -> true
+          | P.Listen -> false
+        in
+        ignore
+          (relay.P.absorb ~round
+             (if round = 1 then Some (M.Data (payload 0)) else None));
+        t)
+  in
+  Alcotest.check bools "acquirer: window closes first"
+    [ false; false; true; true; true; false; false; false ]
+    (acquirer ~window:3 ~budget:7 ());
+  Alcotest.check bools "acquirer: budget closes first"
+    [ false; false; true; true; false; false; false; false ]
+    (acquirer ~window:3 ~budget:4 ());
+  Alcotest.check_raises "window >= 1"
+    (Invalid_argument "Strategy.relay: window must be >= 1") (fun () ->
+      ignore (S.relay slotted ~window:0 ~rng:(Rng.of_int 1) ~node:0 ()))
+
 let test_sender_reuse_restarts_schedule () =
   (* The micro-benches reuse one baseline node across engine runs; a
      round going backwards restarts the schedule on the same stream
@@ -570,6 +618,7 @@ let suite =
       ("strategy zoo", test_strategy_zoo);
       ("node_rng streams", test_node_rng_streams);
       ("relay semantics", test_relay_semantics);
+      ("relay window and budget compose", test_relay_window_budget_compose);
       ("sender reuse restarts schedule", test_sender_reuse_restarts_schedule);
       ("tournament cell", test_tournament_cell);
     ]

@@ -1,5 +1,6 @@
 (* Tests for the higher-level abstract-MAC-layer applications:
-   multi-message broadcast, neighbor discovery and flood-max consensus. *)
+   multi-message broadcast (a closed Serve batch), neighbor discovery
+   and flood-max consensus. *)
 
 open Core
 
@@ -10,7 +11,8 @@ module Dual = Dualgraph.Dual
 module Geo = Dualgraph.Geometric
 module Sch = Radiosim.Scheduler
 module Params = Localcast.Params
-module Multi = Macapps.Multi_broadcast
+module Serve = Macapps.Serve
+module Workload = Macapps.Workload
 module Discovery = Macapps.Discovery
 module Consensus = Macapps.Consensus
 module Rng = Prng.Rng
@@ -20,63 +22,69 @@ let params_for dual = Params.of_dual ~tack_phases:2 ~eps1:0.2 dual
 let budget ~dual params =
   60 * Dual.n dual * params.Params.phase_len
 
-(* --- multi-message broadcast --- *)
+(* --- multi-message broadcast: Serve over a closed batch --- *)
+
+let multi ~params ~rng ~dual ~scheduler ~sources ~max_rounds =
+  Serve.run
+    ~config:(Serve.config ~ttl:max_rounds ())
+    ~workload:
+      (Workload.create ~process:(Batch { sources }) ~n:(Dual.n dual) ~seed:0 ())
+    ~params ~rng ~dual ~scheduler ~rounds:max_rounds ()
 
 let test_multi_single_source_equals_flood () =
   let dual = Geo.line ~n:4 ~spacing:0.9 () in
   let params = params_for dual in
   let result =
-    Multi.run ~params ~rng:(Rng.of_int 1) ~dual ~scheduler:Sch.reliable_only
-      ~sources:[ 0 ] ~max_rounds:(budget ~dual params) ()
+    multi ~params ~rng:(Rng.of_int 1) ~dual ~scheduler:Sch.reliable_only
+      ~sources:[ 0 ] ~max_rounds:(budget ~dual params)
   in
-  checki "one complete message" 1 result.Multi.complete_messages;
-  checkb "completed" true (result.Multi.completion_round <> None);
-  checkb "every node got it" true (Array.for_all Fun.id result.Multi.delivered.(0))
+  checki "one complete message" 1 result.Serve.completed;
+  checkb "completed" true (Float.is_finite result.Serve.delivery_max);
+  checki "every node got it" 4 result.Serve.first_receptions
 
 let test_multi_three_sources () =
   let dual = Geo.line ~n:5 ~spacing:0.9 () in
   let params = params_for dual in
   let result =
-    Multi.run ~params ~rng:(Rng.of_int 2) ~dual
+    multi ~params ~rng:(Rng.of_int 2) ~dual
       ~scheduler:(Sch.bernoulli ~seed:2 ~p:0.5)
       ~sources:[ 0; 2; 4 ]
       ~max_rounds:(budget ~dual params)
-      ()
   in
-  checki "three complete messages" 3 result.Multi.complete_messages;
-  checkb "relays at least k" true (result.Multi.relays >= 3)
+  checki "three complete messages" 3 result.Serve.completed;
+  checkb "relays at least k" true (result.Serve.relays >= 3)
 
 let test_multi_same_source_twice () =
   (* One node originating two messages serializes them through its MAC. *)
   let dual = Geo.pair () in
   let params = params_for dual in
   let result =
-    Multi.run ~params ~rng:(Rng.of_int 3) ~dual ~scheduler:Sch.reliable_only
+    multi ~params ~rng:(Rng.of_int 3) ~dual ~scheduler:Sch.reliable_only
       ~sources:[ 0; 0 ]
       ~max_rounds:(budget ~dual params)
-      ()
   in
-  checki "both complete" 2 result.Multi.complete_messages
+  checki "both complete" 2 result.Serve.completed
 
 let test_multi_disconnected () =
   let g = Dualgraph.Graph.create ~n:3 ~edges:[ (0, 1) ] in
   let dual = Dual.create ~g ~g':g () in
   let params = params_for dual in
   let result =
-    Multi.run ~params ~rng:(Rng.of_int 4) ~dual ~scheduler:Sch.reliable_only
-      ~sources:[ 0 ] ~max_rounds:(20 * params.Params.phase_len) ()
+    multi ~params ~rng:(Rng.of_int 4) ~dual ~scheduler:Sch.reliable_only
+      ~sources:[ 0 ] ~max_rounds:(20 * params.Params.phase_len)
   in
-  checki "incomplete" 0 result.Multi.complete_messages;
-  checkb "island never reached" false result.Multi.delivered.(0).(2)
+  checki "incomplete" 0 result.Serve.completed;
+  (* nodes 0 and 1 only: the island never hears it *)
+  checki "island never reached" 2 result.Serve.first_receptions
 
 let test_multi_source_validation () =
   let dual = Geo.pair () in
   let params = params_for dual in
-  Alcotest.check_raises "range" (Invalid_argument "Multi_broadcast.run: source out of range")
-    (fun () ->
+  Alcotest.check_raises "range"
+    (Invalid_argument "Workload.create: batch source out of range") (fun () ->
       ignore
-        (Multi.run ~params ~rng:(Rng.of_int 1) ~dual ~scheduler:Sch.reliable_only
-           ~sources:[ 7 ] ~max_rounds:10 ()))
+        (multi ~params ~rng:(Rng.of_int 1) ~dual ~scheduler:Sch.reliable_only
+           ~sources:[ 7 ] ~max_rounds:10))
 
 (* --- neighbor discovery --- *)
 

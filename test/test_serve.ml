@@ -25,6 +25,7 @@ let processes : (string * Workload.process) list =
     ("poisson", Poisson { rate = 0.8 });
     ("bursty", Bursty { rate = 0.8; on_mean = 10.0; off_mean = 30.0 });
     ("hotspot", Hotspot { rate = 0.8; hot_fraction = 0.2; hot_share = 0.8 });
+    ("batch", Batch { sources = [ 0; 3; 3 ] });
   ]
 
 let test_parse_roundtrip () =
@@ -44,7 +45,8 @@ let test_parse_roundtrip () =
         (match Workload.parse s with Error _ -> true | Ok _ -> false))
     [
       ""; "poisson"; "poisson:x"; "poisson:1:2"; "bursty:1"; "bursty:1:0:5";
-      "hotspot:1:2:0.5"; "uniform:1"; "poisson:-1";
+      "hotspot:1:2:0.5"; "uniform:1"; "poisson:-1"; "batch:"; "batch:x";
+      "batch:-1"; "batch:0:1";
     ]
 
 let test_create_validation () =
@@ -64,6 +66,11 @@ let test_create_validation () =
         ~n:4 ~seed:0 ()));
   checkb "n = 0" true (raises (fun () ->
       Workload.create ~process:(Poisson { rate = 1.0 }) ~n:0 ~seed:0 ()));
+  (match Workload.parse "batch:4" with
+  | Ok process ->
+      checkb "batch source = n" true (raises (fun () ->
+          Workload.create ~process ~n:4 ~seed:0 ()))
+  | Error e -> Alcotest.failf "batch:4 should parse: %s" e);
   let w = Workload.create ~process:(Poisson { rate = 1.0 }) ~n:4 ~seed:0 () in
   checkb "node out of range" true
     (raises (fun () -> Workload.arrivals w ~node:4 ~round:0));
@@ -122,7 +129,16 @@ let qcheck_process =
                 hot_share = float_of_int s /. 10.0;
               })
           (int_range 1 40) (int_range 1 10) (int_range 0 10);
+        map
+          (fun sources -> Workload.Batch { sources })
+          (list_size (int_range 1 6) (int_range 0 11));
       ])
+
+(* A batch names its sources, so it needs more nodes than its largest. *)
+let nodes_for process n =
+  match process with
+  | Workload.Batch { sources } -> max n (1 + List.fold_left max 0 sources)
+  | Poisson _ | Bursty _ | Hotspot _ -> n
 
 let qcheck_workload_cases =
   let open QCheck in
@@ -131,11 +147,13 @@ let qcheck_workload_cases =
     Test.make ~name:"arrivals are query-order independent" ~count:60
       (triple arb_process (int_range 1 12) small_int)
       (fun (process, n, seed) ->
+        let n = nodes_for process n in
         dense_counts ~order:`Round_major ~process ~seed ~n ~rounds:120
         = dense_counts ~order:`Node_major_rev ~process ~seed ~n ~rounds:120);
     Test.make ~name:"sparse round queries agree with dense" ~count:60
       (triple arb_process (int_range 1 12) small_int)
       (fun (process, n, seed) ->
+        let n = nodes_for process n in
         let dense =
           dense_counts ~order:`Round_major ~process ~seed ~n ~rounds:120
         in
@@ -378,6 +396,8 @@ let test_metrics_mirror () =
   checki "serve.completed mirrors" r.Serve.completed (c "serve.completed");
   checki "serve.relays mirrors" r.Serve.relays (c "serve.relays");
   checki "serve.acks mirrors" r.Serve.acks (c "serve.acks");
+  checki "serve.first_receptions mirrors" r.Serve.first_receptions
+    (c "serve.first_receptions");
   let h = Metrics.bounded_histogram reg "serve.delivery_latency" in
   (match Metrics.summary h with
   | Some s -> checki "delivery histogram count = completions"
@@ -437,6 +457,39 @@ let test_full_stack_deterministic () =
     (a.Serve.ack_p99 = b.Serve.ack_p99
     || (Float.is_nan a.Serve.ack_p99 && Float.is_nan b.Serve.ack_p99))
 
+(* --- closed batches over the full stack --- *)
+
+let batch_run ~dual ~rounds spec =
+  let params = Params.of_dual ~eps1:0.2 ~tack_phases:2 dual in
+  let process = Result.get_ok (Workload.parse spec) in
+  let workload =
+    Workload.create ~process ~n:(Dualgraph.Dual.n dual) ~seed:0 ()
+  in
+  Serve.run ~config:(Serve.config ~ttl:rounds ()) ~workload ~params
+    ~rng:(Rng.of_int 5) ~dual ~scheduler:Sch.reliable_only ~rounds ()
+
+let test_batch_island () =
+  (* Node 2 is unreachable: the message never completes, so the run
+     uses its whole round budget. *)
+  let g = Dualgraph.Graph.create ~n:3 ~edges:[ (0, 1) ] in
+  let dual = Dualgraph.Dual.create ~g ~g':g () in
+  let r = batch_run ~dual ~rounds:2_000 "batch:0" in
+  checki "runs to its round budget" 2_000 r.Serve.rounds;
+  checki "nothing completed" 0 r.Serve.completed;
+  checki "source and its neighbor covered" 2 r.Serve.first_receptions;
+  checkb "delivery max is NaN" true (Float.is_nan r.Serve.delivery_max);
+  checkb "audit clean" true (r.Serve.audit = [])
+
+let test_batch_stops_when_done () =
+  let dual = Geo.line ~n:5 ~spacing:0.9 () in
+  let r = batch_run ~dual ~rounds:50_000 "batch:0" in
+  checki "completed" 1 r.Serve.completed;
+  checki "every node covered" 5 r.Serve.first_receptions;
+  checki "stops the round after completion"
+    (int_of_float r.Serve.delivery_max + 1)
+    r.Serve.rounds;
+  checkb "audit clean" true (r.Serve.audit = [])
+
 let test_workload_size_mismatch () =
   let dual = Geo.clique 4 in
   let params = Params.of_dual ~eps1:0.2 ~tack_phases:1 dual in
@@ -471,6 +524,8 @@ let suite =
       ("full-stack smoke", test_full_stack_smoke);
       ("full-stack deterministic", test_full_stack_deterministic);
       ("workload size mismatch", test_workload_size_mismatch);
+      ("batch island runs to its budget", test_batch_island);
+      ("batch stops once nothing is in flight", test_batch_stops_when_done);
     ]
   @ List.map QCheck_alcotest.to_alcotest
       (qcheck_workload_cases @ qcheck_conservation_cases)

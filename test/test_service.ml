@@ -1,5 +1,6 @@
 (* Tests for the high-level Localcast.Service runners and the
-   physical-layer Flood_decay baseline. *)
+   physical-layer Decay flood (windowed Strategy.relay nodes), held to a
+   frozen copy of the flood it replaced. *)
 
 open Core
 
@@ -116,32 +117,63 @@ let test_first_reception_starves_alone () =
   Alcotest.check (Alcotest.option Alcotest.int) "no neighbors, no reception" None
     (Service.first_reception ~dual ~params ~receiver:0 ~max_rounds:200 ~seed:9 ())
 
-(* --- Flood_decay --- *)
+(* --- the raw Decay flood: windowed Strategy.relay nodes --- *)
+
+module S = Baseline.Strategy
+module Harness = Baseline.Harness
+
+(* Every node a Decay relay live for [relay_epochs] epochs from
+   acquisition (the source from round 0), node streams split from [rng]
+   in node order; the run stops once every node is covered.  Returns the
+   coverage tallies and the rounds executed. *)
+let decay_flood ?sink ~rng ~dual ~scheduler ~source ~relay_epochs ~max_rounds
+    () =
+  let n = Dual.n dual in
+  let cov = Harness.coverage ~n ~source in
+  let levels = S.levels_for ~delta':(Dual.delta' dual) in
+  let message = L.Messages.payload ~src:source ~uid:0 () in
+  let nodes =
+    Array.init n (fun v ->
+        S.relay (Decay { levels })
+          ?initial:(if v = source then Some message else None)
+          ~window:(relay_epochs * levels) ~rng:(Rng.split rng) ~node:v ())
+  in
+  let rounds =
+    Radiosim.Engine.run ?sink ~observer:(Harness.observe cov)
+      ~stop:(fun _ -> cov.Harness.covered = n)
+      ~dual ~scheduler ~nodes
+      ~env:(Radiosim.Env.null ~name:"flood-decay" ())
+      ~rounds:max_rounds ()
+  in
+  (cov, rounds)
+
+let completion cov =
+  if cov.Harness.covered = Array.length cov.Harness.first then
+    Some (Array.fold_left max 0 cov.Harness.first)
+  else None
 
 let test_flood_decay_pair () =
   let dual = Geo.pair () in
-  let result =
-    Baseline.Flood_decay.run ~rng:(Rng.of_int 10) ~dual
-      ~scheduler:Sch.reliable_only ~source:0 ~relay_epochs:4 ~max_rounds:500 ()
+  let cov, _ =
+    decay_flood ~rng:(Rng.of_int 10) ~dual ~scheduler:Sch.reliable_only
+      ~source:0 ~relay_epochs:4 ~max_rounds:500 ()
   in
-  checki "covers both" 2 result.Baseline.Flood_decay.covered_count;
+  checki "covers both" 2 cov.Harness.covered;
   checkb "fast" true
-    (match result.Baseline.Flood_decay.completion_round with
-    | Some round -> round < 100
-    | None -> false)
+    (match completion cov with Some round -> round < 100 | None -> false)
 
 let test_flood_decay_validation () =
   let dual = Geo.pair () in
-  Alcotest.check_raises "source" (Invalid_argument "Flood_decay.run: source out of range")
-    (fun () ->
+  Alcotest.check_raises "source"
+    (Invalid_argument "Harness.coverage: source out of range") (fun () ->
       ignore
-        (Baseline.Flood_decay.run ~rng:(Rng.of_int 1) ~dual
-           ~scheduler:Sch.reliable_only ~source:9 ~relay_epochs:1 ~max_rounds:10 ()));
+        (decay_flood ~rng:(Rng.of_int 1) ~dual ~scheduler:Sch.reliable_only
+           ~source:9 ~relay_epochs:1 ~max_rounds:10 ()));
   Alcotest.check_raises "epochs"
-    (Invalid_argument "Flood_decay.run: relay_epochs must be >= 1") (fun () ->
+    (Invalid_argument "Strategy.relay: window must be >= 1") (fun () ->
       ignore
-        (Baseline.Flood_decay.run ~rng:(Rng.of_int 1) ~dual
-           ~scheduler:Sch.reliable_only ~source:0 ~relay_epochs:0 ~max_rounds:10 ()))
+        (decay_flood ~rng:(Rng.of_int 1) ~dual ~scheduler:Sch.reliable_only
+           ~source:0 ~relay_epochs:0 ~max_rounds:10 ()))
 
 let test_flood_decay_no_guarantee () =
   (* With a one-epoch window on a longer line, some trial fails to cover —
@@ -149,26 +181,62 @@ let test_flood_decay_no_guarantee () =
   let dual = Geo.line ~n:12 ~spacing:0.9 () in
   let incomplete = ref 0 in
   for seed = 1 to 10 do
-    let result =
-      Baseline.Flood_decay.run ~rng:(Rng.of_int seed) ~dual
-        ~scheduler:Sch.reliable_only ~source:0 ~relay_epochs:1 ~max_rounds:5000 ()
+    let cov, _ =
+      decay_flood ~rng:(Rng.of_int seed) ~dual ~scheduler:Sch.reliable_only
+        ~source:0 ~relay_epochs:1 ~max_rounds:5000 ()
     in
-    if result.Baseline.Flood_decay.covered_count < 12 then incr incomplete
+    if cov.Harness.covered < 12 then incr incomplete
   done;
   checkb "raw flooding sometimes stalls" true (!incomplete > 0)
 
 let test_flood_decay_relay_window_bounded () =
   (* After the window closes, nodes stay silent: the run's executed rounds
      stop early only on coverage, so with an unreachable island the run
-     uses the full budget but transmissions cease. *)
+     uses the full budget but transmissions cease once the last relay's
+     window (node 1's, opened the round after its first reception)
+     closes. *)
   let g = Dualgraph.Graph.create ~n:3 ~edges:[ (0, 1) ] in
   let dual = Dual.create ~g ~g':g () in
-  let result =
-    Baseline.Flood_decay.run ~rng:(Rng.of_int 11) ~dual
-      ~scheduler:Sch.reliable_only ~source:0 ~relay_epochs:2 ~max_rounds:300 ()
+  let sink = Obs.Sink.create () in
+  let transmits = ref [] in
+  Obs.Sink.on_event sink (function
+    | Obs.Event.Transmit { round; _ } -> transmits := round :: !transmits
+    | _ -> ());
+  let relay_epochs = 2 in
+  let cov, rounds =
+    decay_flood ~sink ~rng:(Rng.of_int 11) ~dual ~scheduler:Sch.reliable_only
+      ~source:0 ~relay_epochs ~max_rounds:300 ()
   in
-  checki "island unreachable" 2 result.Baseline.Flood_decay.covered_count;
-  checki "budget exhausted" 300 result.Baseline.Flood_decay.rounds_executed
+  checki "island unreachable" 2 cov.Harness.covered;
+  checki "budget exhausted" 300 rounds;
+  let window = relay_epochs * S.levels_for ~delta':(Dual.delta' dual) in
+  let last_close = cov.Harness.first.(1) + 1 + window in
+  checkb "someone transmitted" true (!transmits <> []);
+  checkb "no transmission after the last window closes" true
+    (List.for_all (fun round -> round < last_close) !transmits)
+
+(* A network of windowed Decay relays is draw-for-draw the frozen
+   physical-layer flood, on the MAC flood's random arenas. *)
+let qcheck_cases =
+  [
+    QCheck.Test.make
+      ~name:"windowed Decay relays equal the frozen Flood_decay.run" ~count:200
+      (QCheck.pair Test_mac.flood_arena_arb (QCheck.int_range 1 3))
+      (fun (({ Test_mac.dual; scheduler; source; seed; _ } as a), relay_epochs) ->
+        (* raw floods take tens of rounds: budgets of 1 to 193 rounds *)
+        let max_rounds = Test_mac.flood_budget ~phase_len:64 a in
+        let frozen =
+          Oracle.Flood_decay.run ~rng:(Rng.of_int seed) ~dual ~scheduler
+            ~source ~relay_epochs ~max_rounds ()
+        in
+        let cov, rounds =
+          decay_flood ~rng:(Rng.of_int seed) ~dual ~scheduler ~source
+            ~relay_epochs ~max_rounds ()
+        in
+        cov.Harness.covered = frozen.Oracle.Flood_decay.covered_count
+        && completion cov = frozen.Oracle.Flood_decay.completion_round
+        && rounds = frozen.Oracle.Flood_decay.rounds_executed);
+  ]
 
 let suite =
   List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
@@ -185,3 +253,4 @@ let suite =
       ("flood_decay no guarantee", test_flood_decay_no_guarantee);
       ("flood_decay bounded window", test_flood_decay_relay_window_bounded);
     ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_cases
