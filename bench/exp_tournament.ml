@@ -78,7 +78,7 @@ let jam_plan ~n ~horizon ~seed =
     if v <> sender then begin
       let rng =
         Prng.Rng.create
-          (Prng.Splitmix.mix
+          (Prng.Rng.mix
              Int64.(
                add
                  (mul (of_int seed) 0x9E3779B97F4A7C15L)

@@ -6,8 +6,10 @@ type t =
   | Backoff of { max_exp : int }
   | Slotted of { slots : int }
 
-(* Ladder depths are capped at 62 so every [1 lsl] below stays within a
-   63-bit OCaml int. *)
+(* Ladder depths are capped at 62, the widest exponent
+   [Prng.Rng.bernoulli_pow2] takes.  [1 lsl 62] is min_int, so Backoff's
+   window at exponent 62 wraps; that is harmless, because the exponent
+   cannot rise further and the window then lasts about 2^62 rounds. *)
 let max_levels = 62
 
 let validate = function
@@ -116,8 +118,6 @@ let init spec ~rng ~node =
 
 let spec st = st.spec
 
-let pow2_inv k = 1.0 /. float_of_int (1 lsl k)
-
 let decide st ~round =
   if round < 0 then invalid_arg "Strategy.decide: round must be >= 0";
   if round <= st.last_round then
@@ -125,15 +125,15 @@ let decide st ~round =
   st.last_round <- round;
   match st.spec with
   | Fixed { p } -> Prng.Rng.bernoulli st.rng p
-  | Decay { levels } -> Prng.Rng.bernoulli st.rng (pow2_inv ((round mod levels) + 1))
+  | Decay { levels } -> Prng.Rng.bernoulli_pow2 st.rng ((round mod levels) + 1)
   | Decay_restart { levels } ->
-      let r = Prng.Rng.bernoulli st.rng (pow2_inv (st.level + 1)) in
+      let r = Prng.Rng.bernoulli_pow2 st.rng (st.level + 1) in
       st.level <- min (st.level + 1) (levels - 1);
       r
   | Sawtooth { levels } ->
-      Prng.Rng.bernoulli st.rng (pow2_inv (levels - (round mod levels)))
+      Prng.Rng.bernoulli_pow2 st.rng (levels - (round mod levels))
   | Backoff { max_exp } ->
-      let r = Prng.Rng.bernoulli st.rng (pow2_inv st.level) in
+      let r = Prng.Rng.bernoulli_pow2 st.rng st.level in
       st.window_left <- st.window_left - 1;
       if st.window_left <= 0 then begin
         st.level <- min (st.level + 1) max_exp;
@@ -151,16 +151,7 @@ let feedback st ~round:_ ~heard =
         st.window_left <- 1
     | Fixed _ | Decay _ | Sawtooth _ | Slotted _ -> ()
 
-let node_rng ?(round = 0) ~seed ~node () =
-  let open Int64 in
-  let key =
-    add
-      (add
-         (mul (of_int seed) 0x9E3779B97F4A7C15L)
-         (mul (of_int (node + 1)) 0xC2B2AE3D27D4EB4FL))
-      (mul (of_int round) 0x165667B19E3779F9L)
-  in
-  Prng.Rng.create (Prng.Splitmix.mix key)
+let node_rng ?(round = 0) ~seed ~node () = Prng.Rng.node_stream ~seed ~node ~round
 
 let heard = function Some _ -> true | None -> false
 

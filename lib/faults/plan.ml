@@ -136,15 +136,8 @@ let churn ~seed ~n ~rounds ~rate ?downtime ?(protect = []) () =
     let log_keep = log1p (-.rate) in
     for v = 0 to n - 1 do
       if not (List.mem v protect) then begin
-        let h =
-          Prng.Splitmix.mix
-            (Int64.add
-               (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-               (Int64.mul (Int64.of_int (v + 1)) 0xC2B2AE3D27D4EB4FL))
-        in
-        let u =
-          Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
-        in
+        let h = Prng.Rng.node_hash ~seed ~node:v ~round:0 in
+        let u = float_of_int h /. 9007199254740992.0 in
         (* first round >= 1 with a crash; u = 0 maps to round 1 *)
         let gap = floor (log1p (-.u) /. log_keep) in
         if gap < float_of_int (rounds - 1) then begin

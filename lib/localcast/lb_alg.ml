@@ -50,7 +50,7 @@ let oracle_seed state ~phase =
   | Src_agreement -> assert false
   | Src_oracle base ->
       let derived =
-        Prng.Rng.create (Prng.Splitmix.mix (Int64.add base (Int64.of_int phase)))
+        Prng.Rng.create (Prng.Rng.mix (Int64.add base (Int64.of_int phase)))
       in
       Prng.Bitstring.random derived state.params.Params.seed.Params.kappa
 
@@ -128,15 +128,20 @@ let body_action state =
         | Sending _ | Receiving -> P.Listen
       end
 
-let decide state ~round inputs =
-  let params = state.params in
-  List.iter
-    (fun (Messages.Bcast m) ->
+(* A top-level walk rather than [List.iter] over a closure capturing
+   [state]: the common empty round then allocates nothing. *)
+let rec take_inputs state = function
+  | [] -> ()
+  | Messages.Bcast m :: rest ->
       (* The LB environment contract: one outstanding bcast per node. *)
       assert (state.pending = None);
       (match state.mode with Receiving -> () | Sending _ -> assert false);
-      state.pending <- Some m)
-    inputs;
+      state.pending <- Some m;
+      take_inputs state rest
+
+let decide state ~round inputs =
+  let params = state.params in
+  take_inputs state inputs;
   let phase = phase_of_round params round in
   let pos = position_in_phase params round in
   if pos = 0 then begin

@@ -47,8 +47,7 @@ let decide_action t ~local_round =
   | _ -> ());
   (match t.status with
   | Active when phase_start ->
-      let p = 1.0 /. float_of_int (1 lsl (params.Params.phases - h + 1)) in
-      if Prng.Rng.bernoulli t.rng p then begin
+      if Prng.Rng.bernoulli_pow2 t.rng (params.Params.phases - h + 1) then begin
         t.status <- Leader h;
         decide t { Messages.owner = t.id; seed = t.initial_seed }
       end

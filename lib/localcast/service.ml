@@ -34,15 +34,8 @@ let obs_glue ?sink ?metrics ~dual ~params () =
    SplitMix — a pure function of the run's identity, so faulted runs stay
    bit-identical at any trial-parallelism split. *)
 let reviver ?seed_source ~params ~seed () ~node ~round =
-  let mixed =
-    Prng.Splitmix.mix
-      (Int64.add
-         (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-         (Int64.add
-            (Int64.mul (Int64.of_int (node + 1)) 0xC2B2AE3D27D4EB4FL)
-            (Int64.mul (Int64.of_int (round + 1)) 0x165667B19E3779F9L)))
-  in
-  Lb_alg.node ?seed_source params ~id:node ~rng:(Prng.Rng.create mixed)
+  let rng = Prng.Rng.node_stream ~seed ~node ~round:(round + 1) in
+  Lb_alg.node ?seed_source params ~id:node ~rng
 
 let revive_opt ?seed_source ~params ~seed faults =
   match faults with

@@ -80,16 +80,13 @@ let parse s =
 
 (* --- the draw substrate ---
 
-   A 63-bit SplitMix-style finalizer on native ints: the serving loop
-   cannot afford the boxed-int64 allocation Prng.Splitmix incurs per
-   draw, and counter-mode keying (hash of (seed, node, round, i)) is
-   what makes arrival plans order-independent in the first place.  The
-   multipliers are odd constants below 2^62. *)
+   Counter-mode keying (hash of (seed, node, round, i)) is what makes
+   arrival plans order-independent in the first place.  Every draw
+   hashes its key with Prng.Rng's 63-bit finalizer, an int -> int
+   function, so the serving loop's draws stay in native ints and
+   allocate nothing. *)
 
-let mix z =
-  let z = (z lxor (z lsr 31)) * 0x2545F4914F6CDD1D in
-  let z = (z lxor (z lsr 29)) * 0x3C6EF372FE94F82B in
-  (z lxor (z lsr 32)) land max_int
+let mix = Prng.Rng.mix63
 
 (* Uniform in (0, 1]: 52 fresh mantissa bits, never exactly 0 (safe
    under log). *)

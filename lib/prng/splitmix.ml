@@ -1,34 +1,8 @@
-type t = { mutable state : int64 }
+type t = Rng.t
 
-let golden_gamma = 0x9E3779B97F4A7C15L
-
-(* The standard SplitMix64 finalizer: xor-shift multiply chains that give
-   good avalanche behaviour on the raw counter. *)
-let mix z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-(* A second finalizer (MurmurHash3 constants) used to derive split streams. *)
-let mix_gamma z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
-  let z = Int64.logxor z (Int64.shift_right_logical z 33) in
-  (* Gammas must be odd; this also keeps them well distributed. *)
-  Int64.logor z 1L
-
-let create seed = { state = seed }
-
-let of_int seed = create (Int64.of_int seed)
-
-let next t =
-  let s = Int64.add t.state golden_gamma in
-  t.state <- s;
-  mix s
-
-let split t =
-  let s1 = next t in
-  let s2 = next t in
-  { state = Int64.logxor (mix s1) (mix_gamma s2) }
-
-let copy t = { state = t.state }
+let create = Rng.create
+let of_int = Rng.of_int
+let next = Rng.bits64
+let split = Rng.split
+let copy = Rng.copy
+let mix = Rng.mix

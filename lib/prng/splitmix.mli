@@ -9,10 +9,17 @@
     of fixing a configuration and then considering the induced execution
     tree.
 
-    The state is a single [int64].  [next] advances the state and produces
-    64 pseudo-random bits; [split] derives an independent stream, which we
-    use to give every node, the scheduler and the environment their own
-    generators without cross-contamination. *)
+    [next] advances the state and produces 64 pseudo-random bits; [split]
+    derives an independent stream, which we use to give every node, the
+    scheduler and the environment their own generators without
+    cross-contamination.
+
+    The arithmetic lives in {!Rng}, which keeps the state in 8 raw bytes
+    and inlines the step into its draws so they allocate nothing; this
+    module is a re-export of {!Rng}'s generator operations (a [t] here is
+    an {!Rng.t}) and holds no arithmetic of its own.  It remains for
+    callers that name the generator directly, such as the benchmark's
+    input-seed derivation. *)
 
 type t
 (** Mutable generator state. *)
@@ -35,5 +42,4 @@ val copy : t -> t
     same stream.  Used by tests to check determinism. *)
 
 val mix : int64 -> int64
-(** [mix z] is the 64-bit finalizer (mix function) used internally;
-    exposed for hashing embedding coordinates into scheduler decisions. *)
+(** [mix z] is the 64-bit finalizer ({!Rng.mix}). *)

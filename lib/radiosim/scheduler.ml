@@ -87,45 +87,21 @@ let all_edges =
   }
 
 let bernoulli ~seed ~p =
-  let active ~round ~edge =
-    let h =
-      Prng.Splitmix.mix
-        (Int64.add
-           (Int64.mul (Int64.of_int round) 0x100000001B3L)
-           (Int64.of_int ((edge * 2654435761) + seed)))
-    in
-    (* Scale 53 hash bits into [0, 1) and compare against [p], exactly
-       mirroring Rng.float / Rng.bernoulli. *)
-    let v = Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0 in
-    v < p
+  (* Scale 53 hash bits into [0, 1) and compare against [p], exactly
+     mirroring Rng.float / Rng.bernoulli. *)
+  let[@inline] active ~round ~edge =
+    let h = Prng.Rng.round_hash ~round ~salt:((edge * 2654435761) + seed) in
+    float_of_int h /. 9007199254740992.0 < p
   in
-  (* The batch fills hoist the round term out of the per-edge hash: one
-     multiply per round, one mix per edge. *)
   let fill ~round buf =
-    let round_term = Int64.mul (Int64.of_int round) 0x100000001B3L in
     for edge = 0 to Bytes.length buf - 1 do
-      let h =
-        Prng.Splitmix.mix
-          (Int64.add round_term (Int64.of_int ((edge * 2654435761) + seed)))
-      in
-      let v =
-        Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
-      in
-      Bytes.unsafe_set buf edge (if v < p then '\001' else '\000')
+      Bytes.unsafe_set buf edge (if active ~round ~edge then '\001' else '\000')
     done
   in
   let fill_sparse ~round ~m buf =
-    let round_term = Int64.mul (Int64.of_int round) 0x100000001B3L in
     let k = ref 0 in
     for edge = 0 to m - 1 do
-      let h =
-        Prng.Splitmix.mix
-          (Int64.add round_term (Int64.of_int ((edge * 2654435761) + seed)))
-      in
-      let v =
-        Int64.to_float (Int64.shift_right_logical h 11) /. 9007199254740992.0
-      in
-      if v < p then begin
+      if active ~round ~edge then begin
         Array.unsafe_set buf !k edge;
         incr k
       end
@@ -153,26 +129,16 @@ let bernoulli ~seed ~p =
    many times); the memo makes a [t] unsafe to share across domains, which
    matches the existing per-trial ownership discipline. *)
 let bernoulli_sparse ~seed ~p =
-  let round_stream round =
-    Prng.Splitmix.create
-      (Prng.Splitmix.mix
-         (Int64.add
-            (Int64.mul (Int64.of_int round) 0x100000001B3L)
-            (Int64.of_int seed)))
-  in
+  let round_stream round = Prng.Rng.round_stream ~round ~salt:seed in
   let log1mp = if p < 1.0 then Float.log1p (-.p) else Float.neg_infinity in
-  let uniform g =
-    Int64.to_float (Int64.shift_right_logical (Prng.Splitmix.next g) 11)
-    /. 9007199254740992.0
-  in
-  (* Number of inactive edges before the next active one; [None] when the
-     next active edge certainly lies beyond any index representable in
-     the caller's range. *)
+  (* Number of inactive edges before the next active one; [max_int] when
+     the next active edge certainly lies beyond any index representable
+     in the caller's range. *)
   let draw_gap g =
-    let u = uniform g in
+    let u = float_of_int (Prng.Rng.bits g 53) /. 9007199254740992.0 in
     let gf = Float.floor (Float.log1p (-.u) /. log1mp) in
-    if gf >= 4.611686018427387904e18 (* 2^62: past any edge index *) then None
-    else Some (int_of_float gf)
+    if gf >= 4.611686018427387904e18 (* 2^62: past any edge index *) then max_int
+    else int_of_float gf
   in
   if p <= 0.0 then
     { reliable_only with name = Printf.sprintf "bernoulli-sparse(p=%.2f)" p }
@@ -185,13 +151,13 @@ let bernoulli_sparse ~seed ~p =
       let pos = ref (-1) in
       let running = ref true in
       while !running do
-        (match draw_gap g with
-        | None -> running := false
-        | Some gap when gap >= m - !pos - 1 -> running := false
-        | Some gap ->
-            pos := !pos + 1 + gap;
-            Array.unsafe_set buf !k !pos;
-            incr k)
+        let gap = draw_gap g in
+        if gap >= m - !pos - 1 then running := false
+        else begin
+          pos := !pos + 1 + gap;
+          Array.unsafe_set buf !k !pos;
+          incr k
+        end
       done;
       !k
     in
@@ -209,15 +175,13 @@ let bernoulli_sparse ~seed ~p =
         Hashtbl.reset memo_hits
       end;
       while !memo_frontier < edge do
-        match draw_gap !memo_gen with
-        | None -> memo_frontier := max_int
-        | Some gap ->
-            let s = !memo_frontier + 1 + gap in
-            if s < 0 (* overflow *) then memo_frontier := max_int
-            else begin
-              Hashtbl.replace memo_hits s ();
-              memo_frontier := s
-            end
+        let gap = draw_gap !memo_gen in
+        let s = !memo_frontier + 1 + gap in
+        if gap = max_int || s < 0 (* overflow *) then memo_frontier := max_int
+        else begin
+          Hashtbl.replace memo_hits s ();
+          memo_frontier := s
+        end
       done;
       Hashtbl.mem memo_hits edge
     in

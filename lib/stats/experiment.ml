@@ -6,7 +6,7 @@
 let derived_seed ~seed ~trial =
   let affine = (seed * 0x9E3779B1) + (trial * 0x85EBCA77) + 0x165667B1 in
   (* [to_int] keeps the low 63 bits — deterministic on 64-bit platforms. *)
-  Int64.to_int (Prng.Splitmix.mix (Int64.of_int affine))
+  Int64.to_int (Prng.Rng.mix (Int64.of_int affine))
 
 let trials ~seed ~n f =
   List.init n (fun trial -> f ~trial ~seed:(derived_seed ~seed ~trial))

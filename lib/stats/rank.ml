@@ -23,7 +23,7 @@ let bootstrap ?(replicates = 1000) ?(confidence = 0.95) ~seed samples =
   in
   if degenerate then { mean; lower = mean; upper = mean }
   else begin
-    let rng = Prng.Rng.create (Prng.Splitmix.mix (Int64.of_int seed)) in
+    let rng = Prng.Rng.create (Prng.Rng.mix (Int64.of_int seed)) in
     let means =
       Array.init replicates (fun _ ->
           let sum = ref 0.0 in
@@ -51,7 +51,7 @@ let label_seed ~seed label =
   String.iter
     (fun c ->
       acc :=
-        Prng.Splitmix.mix
+        Prng.Rng.mix
           (Int64.add
              (Int64.mul !acc 0x100000001B3L)
              (Int64.of_int (Char.code c))))

@@ -189,3 +189,132 @@ module Flood_decay = struct
       rounds_executed;
     }
 end
+
+module Rng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let mix_gamma z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L in
+    let z = Int64.logxor z (Int64.shift_right_logical z 33) in
+    Int64.logor z 1L
+
+  let create seed = { state = seed }
+
+  let next t =
+    let s = Int64.add t.state golden_gamma in
+    t.state <- s;
+    mix s
+
+  let split t =
+    let s1 = next t in
+    let s2 = next t in
+    { state = Int64.logxor (mix s1) (mix_gamma s2) }
+
+  let copy t = { state = t.state }
+
+  let bits64 = next
+
+  let bool t = Int64.logand (next t) 1L = 1L
+
+  let bits t k =
+    assert (k >= 0 && k <= 62);
+    if k = 0 then 0
+    else Int64.to_int (Int64.shift_right_logical (next t) (64 - k))
+
+  let int t n =
+    assert (n > 0);
+    if n = 1 then 0
+    else begin
+      let k =
+        let rec width k = if k >= 62 || 1 lsl k >= n then k else width (k + 1) in
+        width 1
+      in
+      let rec draw () =
+        let v = bits t k in
+        if v < n then v else draw ()
+      in
+      draw ()
+    end
+
+  let int_in_range t ~min ~max =
+    assert (min <= max);
+    min + int t (max - min + 1)
+
+  let float t x =
+    let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
+    x *. (v /. 9007199254740992.0)
+
+  let bernoulli t p =
+    if p <= 0.0 then false
+    else if p >= 1.0 then true
+    else float t 1.0 < p
+
+  let geometric_trial t b =
+    assert (b >= 0);
+    let rec go remaining =
+      if remaining = 0 then true
+      else if bool t then false
+      else go (remaining - 1)
+    in
+    go b
+
+  let shuffle t a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+
+  let scheduler_hash ~seed ~round ~edge =
+    mix
+      (Int64.add
+         (Int64.mul (Int64.of_int round) 0x100000001B3L)
+         (Int64.of_int ((edge * 2654435761) + seed)))
+
+  let sparse_round_stream ~seed ~round =
+    create
+      (mix
+         (Int64.add
+            (Int64.mul (Int64.of_int round) 0x100000001B3L)
+            (Int64.of_int seed)))
+
+  let node_rng ~seed ~node ~round =
+    let open Int64 in
+    let key =
+      add
+        (add
+           (mul (of_int seed) 0x9E3779B97F4A7C15L)
+           (mul (of_int (node + 1)) 0xC2B2AE3D27D4EB4FL))
+        (mul (of_int round) 0x165667B19E3779F9L)
+    in
+    create (mix key)
+
+  let reviver_rng ~seed ~node ~round =
+    create
+      (mix
+         (Int64.add
+            (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
+            (Int64.add
+               (Int64.mul (Int64.of_int (node + 1)) 0xC2B2AE3D27D4EB4FL)
+               (Int64.mul (Int64.of_int (round + 1)) 0x165667B19E3779F9L))))
+
+  let churn_hash ~seed ~node =
+    mix
+      (Int64.add
+         (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
+         (Int64.mul (Int64.of_int (node + 1)) 0xC2B2AE3D27D4EB4FL))
+
+  let workload_mix z =
+    let z = (z lxor (z lsr 31)) * 0x2545F4914F6CDD1D in
+    let z = (z lxor (z lsr 29)) * 0x3C6EF372FE94F82B in
+    (z lxor (z lsr 32)) land max_int
+end

@@ -69,3 +69,45 @@ module Flood_decay : sig
     unit ->
     result
 end
+
+(** The record-based SplitMix64 generator and its typed draws, frozen as
+    they stood before {!Prng.Rng} took over the arithmetic with an
+    unboxed 8-byte state, together with the counter-mode key formulas
+    each user spelled out in [Int64] arithmetic and [Macapps.Workload]'s
+    private 63-bit mixer.  The property suite holds every stream,
+    stream position and keyed hash of {!Prng.Rng} to these. *)
+module Rng : sig
+  type t
+
+  val create : int64 -> t
+  val split : t -> t
+  val copy : t -> t
+  val mix : int64 -> int64
+  val bits64 : t -> int64
+  val bool : t -> bool
+  val bits : t -> int -> int
+  val int : t -> int -> int
+  val int_in_range : t -> min:int -> max:int -> int
+  val float : t -> float -> float
+  val bernoulli : t -> float -> bool
+  val geometric_trial : t -> int -> bool
+  val shuffle : t -> 'a array -> unit
+
+  val scheduler_hash : seed:int -> round:int -> edge:int -> int64
+  (** [Scheduler.bernoulli]'s per-edge hash of (round, edge, seed). *)
+
+  val sparse_round_stream : seed:int -> round:int -> t
+  (** [Scheduler.bernoulli_sparse]'s per-round generator. *)
+
+  val node_rng : seed:int -> node:int -> round:int -> t
+  (** [Strategy.node_rng]'s per-node stream. *)
+
+  val reviver_rng : seed:int -> node:int -> round:int -> t
+  (** [Service.reviver]'s stream for a node revived at [round]. *)
+
+  val churn_hash : seed:int -> node:int -> int64
+  (** [Faults.Plan.churn]'s per-node hash. *)
+
+  val workload_mix : int -> int
+  (** [Macapps.Workload]'s 63-bit finalizer. *)
+end

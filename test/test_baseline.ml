@@ -361,6 +361,18 @@ let test_node_rng_streams () =
   checkb "revival round differs" true
     (a <> draws (S.node_rng ~round:1 ~seed:42 ~node:3 ()))
 
+let test_ladder_top_level_draws () =
+  (* Sawtooth starts at its top level, 62 here, whose probability is
+     2^-62: it must take a draw like every other level, not read as a
+     probability below 0 and skip it. *)
+  let rng = Rng.of_int 5 in
+  let shadow = Rng.copy rng in
+  let st = S.init (S.Sawtooth { levels = 62 }) ~rng ~node:0 in
+  ignore (S.decide st ~round:0);
+  ignore (Rng.bits64 shadow);
+  Alcotest.check Alcotest.int64 "sawtooth:62 at round 0 consumes exactly one draw"
+    (Rng.bits64 shadow) (Rng.bits64 rng)
+
 let test_relay_semantics () =
   let slotted = S.Slotted { slots = 1 } in
   (* An initial holder transmits on its schedule from engine round 0 and
@@ -617,6 +629,7 @@ let suite =
       ("sawtooth sweep", test_sawtooth_sweep);
       ("strategy zoo", test_strategy_zoo);
       ("node_rng streams", test_node_rng_streams);
+      ("ladder level 62 draws", test_ladder_top_level_draws);
       ("relay semantics", test_relay_semantics);
       ("relay window and budget compose", test_relay_window_budget_compose);
       ("sender reuse restarts schedule", test_sender_reuse_restarts_schedule);

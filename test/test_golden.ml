@@ -197,19 +197,10 @@ let process ~p ~src ~rng =
     absorb = (fun ~round:_ _ -> []);
   }
 
-(* Fresh-state revival, same (seed, node, round) SplitMix derivation
-   shape as Service.reviver, so restarted golden nodes are reproducible
-   too. *)
+(* Fresh-state revival from the same (seed, node, round + 1) key as
+   Service.reviver, so restarted golden nodes are reproducible too. *)
 let revive_of ~seed ~p ~node ~round =
-  let mixed =
-    Prng.Splitmix.mix
-      (Int64.add
-         (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-         (Int64.add
-            (Int64.mul (Int64.of_int (node + 1)) 0xC2B2AE3D27D4EB4FL)
-            (Int64.mul (Int64.of_int (round + 1)) 0x165667B19E3779F9L)))
-  in
-  process ~p ~src:node ~rng:(Rng.create mixed)
+  process ~p ~src:node ~rng:(Rng.node_stream ~seed ~node ~round:(round + 1))
 
 let strategy_of ~name spec =
   match Baseline.Strategy.parse spec with

@@ -36,6 +36,22 @@ let test_split_diverges () =
   let ys = List.init 20 (fun _ -> Sm.next child) in
   checkb "split stream differs from parent's continuation" true (xs <> ys)
 
+let test_known_answers () =
+  (* The published SplitMix64 reference stream from seed 0, and a second
+     seed: the streams every recorded trace and table was drawn from. *)
+  let stream seed k =
+    let g = Sm.create seed in
+    List.init k (fun _ -> Sm.next g)
+  in
+  let hex = Alcotest.list Alcotest.int64 in
+  check hex "seed 0"
+    [ 0xe220a8397b1dcdafL; 0x6e789e6aa1b965f4L; 0x06c45d188009454fL;
+      0xf88bb8a8724c81ecL; 0x1b39896a51a8749bL ]
+    (stream 0L 5);
+  check hex "seed 1234567"
+    [ 0x599ed017fb08fc85L; 0x2c73f08458540fa5L; 0x883ebce5a3f27c77L ]
+    (stream 1234567L 3)
+
 let test_mix_nonzero () =
   (* mix is a bijection with fixed point 0 — the generator never sits at
      state 0 because the golden gamma is added before mixing. *)
@@ -174,6 +190,223 @@ let test_pick_member () =
     checkb "picked element is a member" true (Array.exists (( = ) v) a)
   done
 
+let test_bernoulli_pow2 () =
+  let rng = Rng.of_int 67 in
+  let before = Rng.copy rng in
+  checkb "k=0 always" true (Rng.bernoulli_pow2 rng 0);
+  check Alcotest.int64 "k=0 draws nothing" (Rng.bits64 before) (Rng.bits64 rng);
+  let hits = ref 0 in
+  let n = 20_000 in
+  for _ = 1 to n do
+    if Rng.bernoulli_pow2 rng 2 then incr hits
+  done;
+  let rate = float_of_int !hits /. float_of_int n in
+  checkb "k=2 rate 1/4" true (Float.abs (rate -. 0.25) < 0.015);
+  (* Above 53 only the all-zero 53-bit draw succeeds, and each call still
+     takes exactly one draw. *)
+  let g = Rng.of_int 71 and shadow = Rng.of_int 71 in
+  for k = 54 to 62 do
+    checkb (Printf.sprintf "k=%d on a nonzero draw" k) false (Rng.bernoulli_pow2 g k);
+    ignore (Rng.bits64 shadow)
+  done;
+  check Alcotest.int64 "one draw per call" (Rng.bits64 shadow) (Rng.bits64 g)
+
+(* --- allocation ---
+
+   Every draw that returns an immediate, every keyed hash and the 63-bit
+   mixer must allocate nothing per call, in whichever build profile the
+   suite runs (the dev profile compiles with -opaque, so nothing here is
+   inlined into the caller).  [float] and [bits64] return a boxed float
+   and a boxed int64 by signature, and a keyed [_stream] returns a fresh
+   8-byte generator: they may allocate that block and nothing more. *)
+
+let calls = 10_000
+
+let words_per_call f =
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    f i
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let check_no_alloc name f =
+  Alcotest.(check (float 0.0)) (name ^ " allocates 0 words") 0.0 (words_per_call f)
+
+let test_draws_allocation_free () =
+  let g = Rng.of_int 73 in
+  let a = Array.init 8 Fun.id in
+  check_no_alloc "bool" (fun _ -> ignore (Rng.bool g));
+  check_no_alloc "bits 53" (fun _ -> ignore (Rng.bits g 53));
+  check_no_alloc "int 10" (fun _ -> ignore (Rng.int g 10));
+  check_no_alloc "int max_int" (fun _ -> ignore (Rng.int g max_int));
+  check_no_alloc "int_in_range" (fun _ -> ignore (Rng.int_in_range g ~min:(-3) ~max:3));
+  check_no_alloc "bernoulli" (fun _ -> ignore (Rng.bernoulli g 0.3));
+  check_no_alloc "bernoulli_pow2" (fun i -> ignore (Rng.bernoulli_pow2 g (i mod 63)));
+  check_no_alloc "geometric_trial 3" (fun _ -> ignore (Rng.geometric_trial g 3));
+  check_no_alloc "pick" (fun _ -> ignore (Rng.pick g a));
+  check_no_alloc "shuffle" (fun _ -> Rng.shuffle g a);
+  check_no_alloc "round_hash" (fun i ->
+      ignore (Rng.round_hash ~round:i ~salt:(i * 2654435761)));
+  check_no_alloc "node_hash" (fun i -> ignore (Rng.node_hash ~seed:17 ~node:i ~round:(i lsr 3)));
+  check_no_alloc "mix63" (fun i -> ignore (Rng.mix63 i));
+  let boxed name bound f =
+    let w = words_per_call f in
+    checkb (Printf.sprintf "%s allocates at most its %g-word block (%g)" name bound w)
+      true (w <= bound)
+  in
+  boxed "float" 2.0 (fun _ -> ignore (Rng.float g 1.0));
+  boxed "bits64" 3.0 (fun _ -> ignore (Rng.bits64 g));
+  boxed "round_stream" 3.0 (fun i -> ignore (Rng.round_stream ~round:i ~salt:5));
+  boxed "node_stream" 3.0 (fun i -> ignore (Rng.node_stream ~seed:5 ~node:i ~round:1))
+
+let test_strategy_decide_allocation_free () =
+  let module S = Baseline.Strategy in
+  List.iter
+    (fun spec ->
+      let st = S.init spec ~rng:(Rng.of_int 79) ~node:3 in
+      check_no_alloc ("Strategy.decide " ^ S.to_spec spec) (fun round ->
+          ignore (S.decide st ~round)))
+    [
+      S.Fixed { p = 0.3 };
+      S.Decay { levels = 6 };
+      S.Decay_restart { levels = 6 };
+      S.Sawtooth { levels = 6 };
+      S.Backoff { max_exp = 6 };
+      S.Slotted { slots = 5 };
+    ]
+
+(* --- frozen-oracle equivalence --- *)
+
+module Ref = Oracle.Rng
+
+type op =
+  | Bits64
+  | Bool
+  | Bits of int
+  | Int of int
+  | Int_in_range of int * int
+  | Float of float
+  | Bernoulli of float
+  | Pow2 of int
+  | Geometric of int
+  | Split
+  | Copy
+  | Shuffle of int
+
+let show_op = function
+  | Bits64 -> "bits64"
+  | Bool -> "bool"
+  | Bits k -> Printf.sprintf "bits %d" k
+  | Int n -> Printf.sprintf "int %d" n
+  | Int_in_range (lo, hi) -> Printf.sprintf "int_in_range %d %d" lo hi
+  | Float x -> Printf.sprintf "float %h" x
+  | Bernoulli p -> Printf.sprintf "bernoulli %h" p
+  | Pow2 k -> Printf.sprintf "pow2 %d" k
+  | Geometric b -> Printf.sprintf "geometric_trial %d" b
+  | Split -> "split"
+  | Copy -> "copy"
+  | Shuffle n -> Printf.sprintf "shuffle %d" n
+
+let op_gen =
+  let open QCheck.Gen in
+  let prob =
+    oneof
+      [ oneofl [ 0.0; 1.0; Float.nan; -0.5; 1.5; 0.5; ldexp 1.0 (-61) ];
+        float_bound_inclusive 1.0 ]
+  in
+  frequency
+    [
+      (2, return Bits64);
+      (2, return Bool);
+      (2, map (fun k -> Bits k) (int_bound 62));
+      (2, map (fun n -> Int n) (oneof [ int_range 1 100; int_range 1 max_int;
+                                         return max_int ]));
+      (1, map2 (fun lo span -> Int_in_range (lo, lo + span))
+            (int_range (-1_000_000) 1_000_000) (int_bound 1_000_000));
+      (1, map (fun x -> Float x) (float_bound_inclusive 1000.0));
+      (2, map (fun p -> Bernoulli p) prob);
+      (2, map (fun k -> Pow2 k) (int_bound 61));
+      (1, map (fun b -> Geometric b) (int_bound 6));
+      (1, return Split);
+      (1, return Copy);
+      (1, map (fun n -> Shuffle n) (int_bound 12));
+    ]
+
+let seed_arb =
+  QCheck.make ~print:Int64.to_string
+    QCheck.Gen.(oneof [ map Int64.of_int int; ui64; map Int64.neg ui64;
+                        oneofl [ 0L; -1L; Int64.min_int; Int64.max_int ] ])
+
+(* Run one op on both generators; [Some msg] on the first divergence. *)
+let step g r op =
+  let same what a b = if a = b then None else Some what in
+  match op with
+  | Bits64 -> same "bits64" (Rng.bits64 g) (Ref.bits64 r)
+  | Bool -> same "bool" (Rng.bool g) (Ref.bool r)
+  | Bits k -> same "bits" (Rng.bits g k) (Ref.bits r k)
+  | Int n -> same "int" (Rng.int g n) (Ref.int r n)
+  | Int_in_range (min, max) ->
+      same "int_in_range" (Rng.int_in_range g ~min ~max) (Ref.int_in_range r ~min ~max)
+  | Float x ->
+      same "float" (Int64.bits_of_float (Rng.float g x))
+        (Int64.bits_of_float (Ref.float r x))
+  | Bernoulli p -> same "bernoulli" (Rng.bernoulli g p) (Ref.bernoulli r p)
+  | Pow2 k ->
+      same "bernoulli_pow2"
+        (Rng.bernoulli_pow2 g k)
+        (Ref.bernoulli r (1.0 /. float_of_int (1 lsl k)))
+  | Geometric b -> same "geometric_trial" (Rng.geometric_trial g b) (Ref.geometric_trial r b)
+  | Split ->
+      let gc = Rng.split g and rc = Ref.split r in
+      same "split child" (Rng.bits64 gc) (Ref.bits64 rc)
+  | Copy ->
+      let gc = Rng.copy g and rc = Ref.copy r in
+      same "copy" (Rng.bits64 gc, Rng.bits64 g) (Ref.bits64 rc, Ref.bits64 r)
+  | Shuffle n ->
+      let a = Array.init n Fun.id and b = Array.init n Fun.id in
+      Rng.shuffle g a;
+      Ref.shuffle r b;
+      same "shuffle" a b
+
+let streams_match seed ops =
+  let g = Rng.create seed and r = Ref.create seed in
+  let rec go = function
+    | [] -> Rng.bits64 g = Ref.bits64 r || QCheck.Test.fail_report "final position"
+    | op :: rest -> (
+        match step g r op with
+        | None -> go rest
+        | Some what -> QCheck.Test.fail_reportf "%s diverged at %s" what (show_op op))
+  in
+  go ops
+
+(* Ints where 63-bit native arithmetic and 64-bit Int64 arithmetic part
+   ways: negatives and values near both ends of the int range. *)
+let key_int =
+  QCheck.Gen.(
+    oneof
+      [ int; small_signed_int; int_range (max_int - 1000) max_int;
+        int_range min_int (min_int + 1000); oneofl [ 0; -1; max_int; min_int ] ])
+
+let stream_eq g r = List.init 4 (fun _ -> Rng.bits64 g) = List.init 4 (fun _ -> Ref.bits64 r)
+
+let top53 h = Int64.to_int (Int64.shift_right_logical h 11)
+
+let keyed_match (seed, node, round) =
+  let edge = node in
+  Rng.round_hash ~round ~salt:((edge * 2654435761) + seed)
+  = top53 (Ref.scheduler_hash ~seed ~round ~edge)
+  && stream_eq (Rng.round_stream ~round ~salt:seed) (Ref.sparse_round_stream ~seed ~round)
+  && stream_eq (Rng.node_stream ~seed ~node ~round) (Ref.node_rng ~seed ~node ~round)
+  && stream_eq
+       (Rng.node_stream ~seed ~node ~round:(round + 1))
+       (Ref.reviver_rng ~seed ~node ~round)
+  && Rng.node_hash ~seed ~node ~round:0 = top53 (Ref.churn_hash ~seed ~node)
+  && stream_eq
+       (Baseline.Strategy.node_rng ~round ~seed ~node ())
+       (Ref.node_rng ~seed ~node ~round)
+  && Rng.mix (Int64.of_int seed) = Ref.mix (Int64.of_int seed)
+  && Rng.mix63 seed = Ref.workload_mix seed
+
 (* --- Bitstring --- *)
 
 let test_bits_of_bools_roundtrip () =
@@ -266,6 +499,14 @@ let qcheck_cases =
         let rng = Rng.of_int seed in
         let v = Rng.int rng n in
         v >= 0 && v < n);
+    Test.make ~name:"rng streams match the frozen record-based generator"
+      ~count:300
+      (pair seed_arb
+         (make ~print:(Print.list show_op) Gen.(list_size (int_bound 60) op_gen)))
+      (fun (seed, ops) -> streams_match seed ops);
+    Test.make ~name:"keyed hashes match their Int64 formulas" ~count:1000
+      (make ~print:Print.(triple int int int) Gen.(triple key_int key_int key_int))
+      keyed_match;
     Test.make ~name:"shuffle preserves multiset" ~count:200
       (pair (small_list small_int) small_int)
       (fun (l, seed) ->
@@ -282,6 +523,7 @@ let suite =
       ("splitmix copy", test_copy);
       ("splitmix seeds differ", test_seeds_differ);
       ("splitmix split diverges", test_split_diverges);
+      ("splitmix known answers", test_known_answers);
       ("splitmix mix nonzero", test_mix_nonzero);
       ("rng bool fair", test_bool_fair);
       ("rng bits range", test_bits_range);
@@ -294,6 +536,9 @@ let suite =
       ("rng bernoulli edges", test_bernoulli_edges);
       ("rng bernoulli rate", test_bernoulli_rate);
       ("rng geometric trial", test_geometric_trial);
+      ("rng bernoulli_pow2", test_bernoulli_pow2);
+      ("rng draws allocate nothing", test_draws_allocation_free);
+      ("strategy decide allocates nothing", test_strategy_decide_allocation_free);
       ("rng shuffle permutes", test_shuffle_permutes);
       ("rng pick member", test_pick_member);
       ("bitstring bools roundtrip", test_bits_of_bools_roundtrip);

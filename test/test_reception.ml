@@ -302,15 +302,7 @@ let run_full ?reception ~engine ~tiles ~rounds seed =
   let observer r = records := (r.Trace.round, digest r) :: !records in
   let env = Radiosim.Env.null ~name:"rx-prop" () in
   let revive ~node ~round =
-    let mixed =
-      Prng.Splitmix.mix
-        (Int64.add
-           (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-           (Int64.add
-              (Int64.mul (Int64.of_int (node + 1)) 0xC2B2AE3D27D4EB4FL)
-              (Int64.mul (Int64.of_int (round + 1)) 0x165667B19E3779F9L)))
-    in
-    let rng = Rng.create mixed in
+    let rng = Rng.node_stream ~seed ~node ~round:(round + 1) in
     {
       P.decide =
         (fun ~round:_ _ ->

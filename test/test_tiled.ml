@@ -68,15 +68,7 @@ let faults_of_seed ~n ~rounds seed =
   | _ -> Some (Plan.churn ~seed ~n ~rounds ~rate:0.04 ~downtime:5 ())
 
 let revive_of ~seed ~node ~round =
-  let mixed =
-    Prng.Splitmix.mix
-      (Int64.add
-         (Int64.mul (Int64.of_int seed) 0x9E3779B97F4A7C15L)
-         (Int64.add
-            (Int64.mul (Int64.of_int (node + 1)) 0xC2B2AE3D27D4EB4FL)
-            (Int64.mul (Int64.of_int (round + 1)) 0x165667B19E3779F9L)))
-  in
-  let rng = Rng.create mixed in
+  let rng = Rng.node_stream ~seed ~node ~round:(round + 1) in
   {
     P.decide =
       (fun ~round:_ _ ->
