@@ -20,6 +20,13 @@
    acquisition, local-round schedules, the global budget window and the
    counter-mode per-node streams of Baseline.Strategy.
 
+   One config runs the LB service itself (Localcast.Service.run under a
+   crash+restart plan) and keeps only the protocol and fault events
+   (phase_start, bcast, recv, ack, progress, seed_commit, crash,
+   restart): it pins the record-to-event translation and the spec
+   monitor's qualifying-reception rule without committing the full
+   structural stream.
+
    Regenerating the corpus (after an intentional semantic change):
 
      dune build && \
@@ -46,6 +53,10 @@ type processes =
       (** one E25 tournament cell: node 0 initially holds the payload,
           every node runs [Strategy.relay] under the [Strategy.parse]d
           spec with the given global budget window *)
+  | Lb_service of { senders : int list; phases : int }
+      (** [Localcast.Service.run] with these saturated senders for
+          [phases] phases ([rounds] is then phases × phase_len); only the
+          protocol and fault events are kept *)
 
 type config = {
   name : string;
@@ -180,13 +191,24 @@ let configs =
       faults = Some "churn:0.02,8";
       reception = "dual";
     };
+    {
+      name = "lb_service_crash_restart";
+      seed = 23;
+      n = 10;
+      rounds = 0;
+      processes = Lb_service { senders = [ 0; 1; 4 ]; phases = 3 };
+      scheduler = (fun ~seed -> Sch.bernoulli ~seed ~p:0.5);
+      faults = Some "crash:1@40;restart:1@300;crash:4@100";
+      reception = "dual";
+    };
   ]
 
 (* Most golden processes are deliberately protocol-free: i.i.d.
    Bernoulli transmitters, so the corpus pins engine/fault/scheduler
    semantics without churning whenever LBAlg's internals evolve.  The
    two Relay configs additionally pin the strategy/relay layer that the
-   E25 tournament is built on. *)
+   E25 tournament is built on, and the Lb_service config the protocol
+   events of the LB stack. *)
 let process ~p ~src ~rng =
   {
     P.decide =
@@ -207,17 +229,33 @@ let strategy_of ~name spec =
   | Ok t -> t
   | Error e -> Alcotest.failf "config %s: bad strategy spec: %s" name e
 
+(* The events an Lb_service trace keeps: protocol and fault events, not
+   the per-round structural stream. *)
+let protocol_or_fault = function
+  | Obs.Event.Phase_start _ | Bcast _ | Recv _ | Ack _ | Progress _
+  | Seed_commit _ | Crash _ | Restart _ ->
+      true
+  | Round_start _ | Round_end _ | Transmit _ | Deliver _ | Collision _
+  | Mark _ ->
+      false
+
 let run_config c =
   let rng = Rng.of_int c.seed in
   let dual =
     Geo.random_field ~rng ~n:c.n ~width:3.2 ~height:3.2 ~r:1.5 ~gray_g':0.5 ()
   in
   let n = Dual.n dual in
+  let params = Localcast.Params.of_dual ~eps1:0.2 ~tack_phases:1 dual in
+  let rounds =
+    match c.processes with
+    | Lb_service { phases; _ } -> phases * params.Localcast.Params.phase_len
+    | Bernoulli _ | Relay _ -> c.rounds
+  in
   let faults =
     match c.faults with
     | None -> None
     | Some spec -> (
-        match Plan.of_spec ~seed:c.seed ~n ~rounds:c.rounds spec with
+        match Plan.of_spec ~seed:c.seed ~n ~rounds spec with
         | Ok plan -> Some plan
         | Error e -> Alcotest.failf "config %s: bad fault spec: %s" c.name e)
   in
@@ -226,13 +264,24 @@ let run_config c =
     | Ok m -> m
     | Error e -> Alcotest.failf "config %s: bad reception spec: %s" c.name e
   in
-  let nodes =
-    match c.processes with
-    | Bernoulli p ->
-        let node_rng = Rng.of_int (c.seed + 1) in
+  let sink = Obs.Sink.create ~capacity:(max 65536 (rounds * ((2 * n) + 8))) () in
+  let scheduler = c.scheduler ~seed:c.seed in
+  let env = Radiosim.Env.null ~name:c.name () in
+  (match c.processes with
+  | Bernoulli p ->
+      let node_rng = Rng.of_int (c.seed + 1) in
+      let nodes =
         Array.init n (fun src -> process ~p ~src ~rng:(Rng.split node_rng))
-    | Relay { spec; budget } ->
-        let strat = strategy_of ~name:c.name spec in
+      in
+      let revive ~node ~round = revive_of ~seed:c.seed ~p ~node ~round in
+      let (_ : int) =
+        Engine.run ~sink ?faults ~reception ~revive ~dual ~scheduler ~nodes
+          ~env ~rounds ()
+      in
+      ()
+  | Relay { spec; budget } ->
+      let strat = strategy_of ~name:c.name spec in
+      let nodes =
         Array.init n (fun node ->
             Baseline.Strategy.relay strat
               ?initial:
@@ -240,36 +289,39 @@ let run_config c =
               ~budget
               ~rng:(Baseline.Strategy.node_rng ~seed:c.seed ~node ())
               ~node ())
-  in
-  let revive ~node ~round =
-    match c.processes with
-    | Bernoulli p -> revive_of ~seed:c.seed ~p ~node ~round
-    | Relay { spec; budget } ->
-        (* A revived relay has lost the message: fresh strategy state on
-           the node's revival-round stream, silent until it re-acquires. *)
-        Baseline.Strategy.relay
-          (strategy_of ~name:c.name spec)
-          ~budget
+      in
+      (* A revived relay has lost the message: fresh strategy state on
+         the node's revival-round stream, silent until it re-acquires. *)
+      let revive ~node ~round =
+        Baseline.Strategy.relay strat ~budget
           ~rng:(Baseline.Strategy.node_rng ~round ~seed:c.seed ~node ())
           ~node ()
-  in
-  let sink =
-    Obs.Sink.create ~capacity:(max 65536 (c.rounds * ((2 * n) + 8))) ()
-  in
-  let (_ : int) =
-    Engine.run ~sink ?faults ~reception ~revive ~dual
-      ~scheduler:(c.scheduler ~seed:c.seed)
-      ~nodes
-      ~env:(Radiosim.Env.null ~name:c.name ())
-      ~rounds:c.rounds ()
-  in
+      in
+      let (_ : int) =
+        Engine.run ~sink ?faults ~reception ~revive ~dual ~scheduler ~nodes
+          ~env ~rounds ()
+      in
+      ()
+  | Lb_service { senders; phases } ->
+      let (_ : Localcast.Service.outcome) =
+        Localcast.Service.run ~scheduler ~sink ?faults ~reception ~dual ~params
+          ~senders ~phases ~seed:c.seed ()
+      in
+      ());
   if Obs.Sink.dropped sink > 0 then
     Alcotest.failf "config %s: sink dropped %d events (capacity too small)"
       c.name (Obs.Sink.dropped sink);
+  let keep =
+    match c.processes with
+    | Lb_service _ -> protocol_or_fault
+    | Bernoulli _ | Relay _ -> fun _ -> true
+  in
   let buf = Buffer.create 65536 in
   Obs.Sink.iter sink (fun ev ->
-      Buffer.add_string buf (Obs.Event.to_json ev);
-      Buffer.add_char buf '\n');
+      if keep ev then begin
+        Buffer.add_string buf (Obs.Event.to_json ev);
+        Buffer.add_char buf '\n'
+      end);
   Buffer.contents buf
 
 let golden_dir () =
