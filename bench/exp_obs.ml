@@ -4,19 +4,22 @@
    with the full pipeline attached — event sink, metrics registry,
    online spec auditor — then three checks with teeth:
 
-   + the auditor's acknowledgement accounting must agree exactly with
-     the offline Lb_spec monitor that watched the same run (ack count,
-     max latency, and total t_ack deadline misses),
+   + the event-fed auditor's acknowledgement accounting must agree
+     exactly with the record-fed Lb_spec monitor that watched the same
+     run (ack count, max latency, and total t_ack deadline misses),
    + the auditor's progress-miss count must equal the monitor's
      progress-failure count,
    + the exported JSONL stream must parse back to exactly the events
      the sink retained.
 
-   Any disagreement is a [failwith]: this group runs in quick mode under
-   the bench-smoke alias, so CI fails if the online auditor and the
-   reference monitor ever drift apart.  The run also writes the
-   BENCH_obs.json metrics artifact and the BENCH_obs_events.jsonl event
-   stream — the files the worked example in docs/OBSERVABILITY.md
+   Both feeds drive the same Obs.Audit core, so the first two checks
+   test the feeds: that the protocol events the sink received say what
+   the round records said.  Any disagreement is a [failwith]: this group
+   runs in quick mode under the bench-smoke alias, so CI fails if the
+   two feeds ever drift apart.  The run also writes the BENCH_obs.json
+   metrics artifact (a golden file: CI compares the regenerated
+   snapshots with the committed ones) and the BENCH_obs_events.jsonl
+   event stream — the files the worked example in docs/OBSERVABILITY.md
    walks through. *)
 
 open Core

@@ -337,19 +337,13 @@ let run_cmd =
       end
       else None
     in
-    let glue =
-      match sink with
-      | Some s -> Some (L.Lb_obs.create ?metrics:registry ~sink:s ~dual ~params ())
-      | None -> None
-    in
-    let observer record =
-      L.Lb_spec.observe monitor record;
-      match glue with Some g -> L.Lb_obs.observer g record | None -> ()
+    let obs =
+      Option.map (fun s -> L.Lb_obs.attach ?metrics:registry ~sink:s monitor) sink
     in
     let executed, secs =
       Stats.Experiment.time (fun () ->
-          Radiosim.Engine.run ~observer ?sink ?metrics:registry ?faults
-            ?revive ~reception ~dual
+          Radiosim.Engine.run ~observer:(L.Lb_spec.observe monitor) ?sink
+            ?metrics:registry ?faults ?revive ~reception ~dual
             ~scheduler:(make_scheduler scheduler ~seed ~p:link_p)
             ~nodes ~env:(L.Lb_env.env envt) ~rounds ())
     in
@@ -388,10 +382,10 @@ let run_cmd =
         Format.printf "wrote %d events to %s (%d emitted, %d dropped)@."
           (Obs.Sink.length s) path (Obs.Sink.emitted s) (Obs.Sink.dropped s)
     | _ -> ());
-    match (metrics_path, glue, registry) with
-    | Some path, Some g, Some reg ->
+    match (metrics_path, obs, registry) with
+    | Some path, Some o, Some reg ->
         let snapshots =
-          L.Lb_obs.snapshots g @ [ Obs.Metrics.snapshot ~label:"final" reg ]
+          L.Lb_obs.snapshots o @ [ Obs.Metrics.snapshot ~label:"final" reg ]
         in
         Obs.Metrics.write_json ~path snapshots;
         Format.printf "wrote %d metric snapshots to %s@."

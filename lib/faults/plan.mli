@@ -21,9 +21,10 @@
     permanent).  The dead interval of a node is [\[crash, restart)] in
     engine rounds.
 
-    Plans are consumed by {!Radiosim.Engine.run} via a {!cursor}, and
-    queried by the survivor-relative accounting in {!Localcast.Lb_spec}
-    and {!Obs.Audit} through {!alive} / {!alive_through}. *)
+    Plans are consumed through a {!cursor} by {!Radiosim.Engine.run} and
+    by {!Localcast.Lb_spec}, which turns the transitions into the crash
+    and restart observations of the {!Obs.Audit} spec monitor; drivers
+    judge survivors with {!alive} / {!alive_through}. *)
 
 type t
 

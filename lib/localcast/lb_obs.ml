@@ -1,253 +1,74 @@
-module Dual = Dualgraph.Dual
-module Graph = Dualgraph.Graph
 module Trace = Radiosim.Trace
 module E = Obs.Event
+module M = Obs.Metrics
 
-let closed_neighborhoods dual =
-  let g' = Dual.g' dual in
-  Array.init (Dual.n dual) (fun u ->
-      let nbrs = Graph.neighbors g' u in
-      let closed = Array.make (Array.length nbrs + 1) u in
-      Array.blit nbrs 0 closed 1 (Array.length nbrs);
-      closed)
+type t = { mutable snapshots_rev : M.snapshot list }
 
-(* The metric handles the translator updates; resolved once at creation
-   so the per-round path never touches the registry's name table. *)
-type instruments = {
-  bcasts : Obs.Metrics.counter;
-  acks : Obs.Metrics.counter;
-  recvs : Obs.Metrics.counter;
-  seed_commits : Obs.Metrics.counter;
-  ack_latency : Obs.Metrics.histogram;
-  progress_latency : Obs.Metrics.histogram;
-  transmitters_per_round : Obs.Metrics.histogram;
-  owners_per_neighborhood : Obs.Metrics.histogram;
-  registry : Obs.Metrics.t;
-}
-
-type t = {
-  sink : Obs.Sink.t;
-  instruments : instruments option;
-  params : Params.t;
-  n : int;
-  closed' : int array array;
-  (* activity bookkeeping, mirroring Lb_spec.observe *)
-  active : Messages.payload option array;
-  bcast_round : (Messages.payload, int) Hashtbl.t;
-  got_progress : bool array;
-  (* δ occupancy state *)
-  commits : int array;  (** committed owner per node, min_int = none *)
-  mutable any_commit : bool;
-  mutable snapshots_rev : Obs.Metrics.snapshot list;
-}
-
-let create ?metrics ~sink ~dual ~params () =
-  let n = Dual.n dual in
-  let instruments =
-    match metrics with
-    | None -> None
-    | Some registry ->
-        (* Engine-level structural events are counted by a streaming
-           consumer, so they tally whether the engine or a replay emits
-           them. *)
-        let transmits = Obs.Metrics.counter registry "engine.transmits" in
-        let deliveries = Obs.Metrics.counter registry "engine.deliveries" in
-        let collisions = Obs.Metrics.counter registry "engine.collisions" in
-        let rounds = Obs.Metrics.gauge registry "engine.rounds" in
-        Obs.Sink.on_event sink (fun ev ->
-            match ev with
-            | E.Transmit _ -> Obs.Metrics.incr transmits
-            | E.Deliver _ -> Obs.Metrics.incr deliveries
-            | E.Collision _ -> Obs.Metrics.incr collisions
-            | E.Round_end { round; _ } ->
-                Obs.Metrics.set rounds (float_of_int (round + 1))
-            | _ -> ());
-        Some
-          {
-            bcasts = Obs.Metrics.counter registry "lb.bcasts";
-            acks = Obs.Metrics.counter registry "lb.acks";
-            recvs = Obs.Metrics.counter registry "lb.recvs";
-            seed_commits = Obs.Metrics.counter registry "lb.seed_commits";
-            ack_latency = Obs.Metrics.histogram registry "lb.ack_latency";
-            progress_latency =
-              Obs.Metrics.histogram registry "lb.progress_latency";
-            transmitters_per_round =
-              Obs.Metrics.histogram registry "lb.transmitters_per_round";
-            owners_per_neighborhood =
-              Obs.Metrics.histogram registry "seed.owners_per_neighborhood";
-            registry;
-          }
-  in
-  {
-    sink;
-    instruments;
-    params;
-    n;
-    closed' = closed_neighborhoods dual;
-    active = Array.make n None;
-    bcast_round = Hashtbl.create 32;
-    got_progress = Array.make n false;
-    commits = Array.make n min_int;
-    any_commit = false;
-    snapshots_rev = [];
-  }
-
-(* δ occupancy of node [u]'s closed G'-neighborhood: distinct committed
-   owners.  Neighborhood sizes are Δ'+1-bounded, so the list scan is
-   fine. *)
-let owners_in t u =
-  let owners = ref [] in
-  Array.iter
-    (fun v ->
-      let owner = t.commits.(v) in
-      if owner <> min_int && not (List.mem owner !owners) then
-        owners := owner :: !owners)
-    t.closed'.(u);
-  List.length !owners
-
-let close_phase t ~phase =
-  match t.instruments with
-  | None -> Array.fill t.got_progress 0 t.n false
-  | Some i ->
-      if t.any_commit then
-        for u = 0 to t.n - 1 do
-          Obs.Metrics.observe ~node:u i.owners_per_neighborhood
-            (float_of_int (owners_in t u))
-        done;
-      Array.fill t.got_progress 0 t.n false;
-      t.snapshots_rev <-
-        Obs.Metrics.snapshot ~label:(Printf.sprintf "phase-%d" phase) i.registry
-        :: t.snapshots_rev
-
-let observer t
-    (record :
-      (Messages.msg, Messages.lb_input, Messages.lb_output) Trace.round_record)
-    =
-  let round = record.Trace.round in
-  let phase_len = t.params.Params.phase_len in
-  let phase = round / phase_len in
-  let pos = round mod phase_len in
-  if pos = 0 then
-    Obs.Sink.emit t.sink
-      (E.Phase_start
-         {
-           round;
-           phase;
-           preamble = phase mod t.params.Params.seed_refresh = 0;
-         });
-  (* 1. bcast inputs: the node turns active, the auditor's ack clock
-     starts. *)
-  Array.iteri
-    (fun u ins ->
-      List.iter
-        (fun (Messages.Bcast payload) ->
-          t.active.(u) <- Some payload;
-          Hashtbl.replace t.bcast_round payload round;
-          Obs.Sink.emit t.sink
-            (E.Bcast
-               { round; node = payload.Messages.src; uid = payload.Messages.uid });
-          match t.instruments with
-          | Some i -> Obs.Metrics.incr i.bcasts
-          | None -> ())
-        ins)
-    record.Trace.inputs;
-  (* 2. first qualifying reception of the phase = the progress witness
-     (same rule as Lb_spec: clean data from a source active right now). *)
-  Array.iteri
-    (fun u delivered ->
-      match delivered with
-      | Some (Messages.Data payload) -> (
-          match t.active.(payload.Messages.src) with
-          | Some active_payload
-            when Messages.payload_equal active_payload payload ->
-              if not t.got_progress.(u) then begin
-                t.got_progress.(u) <- true;
-                Obs.Sink.emit t.sink (E.Progress { round; node = u; latency = pos });
-                match t.instruments with
-                | Some i ->
-                    Obs.Metrics.observe ~node:u i.progress_latency
-                      (float_of_int pos)
-                | None -> ()
-              end
-          | _ -> ())
-      | Some (Messages.Seed_msg _) | None -> ())
-    record.Trace.delivered;
-  (* 3. node outputs: recv / ack / committed. *)
-  let acked = ref [] in
-  Array.iteri
-    (fun u outs ->
-      List.iter
-        (fun out ->
-          match out with
-          | Messages.Recv payload -> (
-              Obs.Sink.emit t.sink
-                (E.Recv
-                   {
-                     round;
-                     node = u;
-                     src = payload.Messages.src;
-                     uid = payload.Messages.uid;
-                   });
-              match t.instruments with
-              | Some i -> Obs.Metrics.incr i.recvs
-              | None -> ())
-          | Messages.Ack payload -> (
-              acked := u :: !acked;
-              let latency =
-                match Hashtbl.find_opt t.bcast_round payload with
-                | Some b ->
-                    Hashtbl.remove t.bcast_round payload;
-                    round - b
-                | None -> 0
-              in
-              Obs.Sink.emit t.sink
-                (E.Ack
-                   {
-                     round;
-                     node = payload.Messages.src;
-                     uid = payload.Messages.uid;
-                     latency;
-                   });
-              match t.instruments with
-              | Some i ->
-                  Obs.Metrics.incr i.acks;
-                  Obs.Metrics.observe ~node:u i.ack_latency
-                    (float_of_int latency)
-              | None -> ())
-          | Messages.Committed ann -> (
-              Obs.Sink.emit t.sink
-                (E.Seed_commit { round; node = u; owner = ann.Messages.owner });
-              t.commits.(u) <- ann.Messages.owner;
-              t.any_commit <- true;
-              match t.instruments with
-              | Some i -> Obs.Metrics.incr i.seed_commits
-              | None -> ()))
-        outs)
-    record.Trace.outputs;
-  (* 4. acked senders stay active through this round, inactive after. *)
-  List.iter (fun u -> t.active.(u) <- None) !acked;
-  (match t.instruments with
-  | Some i ->
-      let transmitting = ref 0 in
-      Array.iter
-        (function
-          | Radiosim.Process.Transmit _ -> incr transmitting
-          | Radiosim.Process.Listen -> ())
-        record.Trace.actions;
-      Obs.Metrics.observe i.transmitters_per_round (float_of_int !transmitting)
-  | None -> ());
-  if pos = phase_len - 1 then close_phase t ~phase
+let attach ?metrics ~sink monitor =
+  let t = { snapshots_rev = [] } in
+  (match metrics with
+  | None -> Lb_spec.tap monitor sink ignore
+  | Some registry ->
+      let counter = M.counter registry and histogram = M.histogram registry in
+      let transmits = counter "engine.transmits" in
+      let deliveries = counter "engine.deliveries" in
+      let collisions = counter "engine.collisions" in
+      let rounds = M.gauge registry "engine.rounds" in
+      (* Registration order is the snapshots' key order. *)
+      let owners = histogram "seed.owners_per_neighborhood" in
+      let transmitters_per_round = histogram "lb.transmitters_per_round" in
+      let progress_latency = histogram "lb.progress_latency" in
+      let ack_latency = histogram "lb.ack_latency" in
+      let seed_commits = counter "lb.seed_commits" in
+      let recvs = counter "lb.recvs" in
+      let acks = counter "lb.acks" in
+      let bcasts = counter "lb.bcasts" in
+      let committed = ref false in
+      Obs.Sink.on_event sink (function
+        | E.Transmit _ -> M.incr transmits
+        | E.Deliver _ -> M.incr deliveries
+        | E.Collision _ -> M.incr collisions
+        | E.Round_end { round; _ } -> M.set rounds (float_of_int (round + 1))
+        | E.Bcast _ -> M.incr bcasts
+        | E.Recv _ -> M.incr recvs
+        | E.Ack { node; latency; _ } ->
+            M.incr acks;
+            M.observe ~node ack_latency (float_of_int latency)
+        | E.Seed_commit _ ->
+            M.incr seed_commits;
+            committed := true
+        | E.Progress { node; latency; _ } ->
+            M.observe ~node progress_latency (float_of_int latency)
+        | E.Round_start _ | E.Phase_start _ | E.Mark _ | E.Crash _ | E.Restart _ -> ());
+      let phase_len = (Lb_spec.params monitor).Params.phase_len in
+      let core = Lb_spec.audit monitor in
+      (* Per record, after its events: the decided transmitters, and at a
+         phase's last round the δ occupancy and the snapshot — before the
+         engine's Round_end, as the phase's own rounds count. *)
+      Lb_spec.tap monitor sink (fun record ->
+          let actions = record.Trace.actions in
+          let transmitting = ref 0 in
+          for v = 0 to Array.length actions - 1 do
+            match actions.(v) with
+            | Radiosim.Process.Transmit _ -> incr transmitting
+            | Radiosim.Process.Listen -> ()
+          done;
+          M.observe transmitters_per_round (float_of_int !transmitting);
+          let round = record.Trace.round in
+          if (round + 1) mod phase_len = 0 then begin
+            if !committed then
+              for u = 0 to Array.length actions - 1 do
+                M.observe ~node:u owners (float_of_int (Obs.Audit.seed_owners core u))
+              done;
+            t.snapshots_rev <-
+              M.snapshot ~label:(Printf.sprintf "phase-%d" (round / phase_len)) registry
+              :: t.snapshots_rev
+          end));
+  t
 
 let snapshots t = List.rev t.snapshots_rev
 
-let auditor ?window ~dual ~params () =
-  let n = Dual.n dual in
-  Obs.Audit.create ?window
-    ~t_prog:(Params.t_prog_rounds params)
-    ~delta_bound:params.Params.delta_bound
-    ~g:(Array.init n (Dual.reliable_neighbors dual))
-    ~g'_closed:(closed_neighborhoods dual)
-    ~t_ack:(Params.t_ack_rounds params) ()
+let auditor = Lb_spec.auditor
 
 let seed_observer ~sink () =
   fun (record : (Messages.msg, unit, Messages.seed_output) Trace.round_record) ->

@@ -3,29 +3,25 @@
     The engine emits only structural events (rounds, transmissions,
     deliveries); everything protocol-level — phase boundaries, [bcast] /
     [ack] / [recv] service events, seed commits, progress receptions —
-    lives in the round records LBAlg produces.  This module translates
-    those records into {!Obs.Event} values on the shared sink and into
-    {!Obs.Metrics} updates, and pre-wires the {!Obs.Audit} monitor with
-    the deadlines and graphs a topology-plus-parameters pair implies.
+    lives in the round records LBAlg produces, which an {!Lb_spec}
+    monitor walks anyway.  {!attach} makes that walk emit the matching
+    {!Obs.Event} values into a sink and keeps the conventional
+    {!Obs.Metrics} instruments; {!auditor} builds the event-fed
+    {!Obs.Audit} monitor for a topology-plus-parameters pair.
 
-    Pass {!observer} to {!Radiosim.Engine.run} (alongside the sink) and
-    the engine's structural stream interleaves with the protocol stream
-    in causal order: each round's protocol events land between its
-    [Round_start] and [Round_end] brackets — the ordering {!Obs.Audit}
-    relies on.  {!Localcast.Service} does this wiring for you. *)
+    Pass the monitor's {!Lb_spec.observe} to {!Radiosim.Engine.run}
+    (alongside the sink) and the engine's structural stream interleaves
+    with the protocol stream in causal order: each round's protocol
+    events land between its [Round_start] and [Round_end] brackets — the
+    ordering {!Obs.Audit.observe} relies on.  {!Localcast.Service} does
+    this wiring for you. *)
 
 type t
 
-val create :
-  ?metrics:Obs.Metrics.t ->
-  sink:Obs.Sink.t ->
-  dual:Dualgraph.Dual.t ->
-  params:Params.t ->
-  unit ->
-  t
-(** A translator for one run over [dual] under [params].  Protocol
-    events go to [sink]; when [metrics] is given the translator also
-    maintains the conventional instruments (see the name table in
+val attach : ?metrics:Obs.Metrics.t -> sink:Obs.Sink.t -> Lb_spec.monitor -> t
+(** From now on the monitor's walk emits its protocol events into
+    [sink] (see {!Lb_spec.tap} for the order).  When [metrics] is given
+    the conventional instruments are kept too (see the name table in
     [docs/OBSERVABILITY.md]): counters [lb.bcasts], [lb.acks],
     [lb.recvs], [lb.seed_commits], [engine.transmits],
     [engine.deliveries], [engine.collisions]; histograms
@@ -33,41 +29,21 @@ val create :
     [lb.transmitters_per_round], and [seed.owners_per_neighborhood]
     (the δ occupancy of each closed G'-neighborhood, sampled once per
     phase); gauge [engine.rounds].  A labeled snapshot ([phase-0],
-    [phase-1], …) is taken as each complete phase closes.  The
-    engine-level counters are fed by a streaming consumer registered on
-    [sink], so they also count events the engine emits directly. *)
-
-val observer :
-  t ->
-  (Messages.msg, Messages.lb_input, Messages.lb_output) Radiosim.Trace.round_record ->
-  unit
-(** The translating observer.  Feed it every round record, in order, of
-    exactly one run (it carries per-run activity state).  Per record it
-    emits, in this order: [Phase_start] (on a phase's first round), one
-    [Bcast] per environment bcast input, one [Progress] per first
-    qualifying reception of the phase, one [Recv] / [Ack] /
-    [Seed_commit] per corresponding node output.  Activity bookkeeping
-    (what makes a reception "qualifying") mirrors {!Lb_spec.observe}
-    exactly: a sender is active from its bcast round through its ack
-    round inclusive. *)
+    [phase-1], …) is taken as each complete phase closes.  The counters
+    are fed by a streaming consumer registered on [sink], so the engine
+    counters also count events the engine emits directly. *)
 
 val snapshots : t -> Obs.Metrics.snapshot list
-(** The per-phase snapshots taken so far, oldest first (empty when the
-    translator has no registry).  Hand the list to
-    {!Obs.Metrics.write_json} for the [BENCH_obs.json] artifact. *)
+(** The per-phase snapshots taken so far, oldest first (empty without a
+    registry).  Hand the list to {!Obs.Metrics.write_json} for the
+    [BENCH_obs.json] artifact. *)
 
 val auditor : ?window:int -> dual:Dualgraph.Dual.t -> params:Params.t -> unit -> Obs.Audit.t
-(** An online spec auditor pre-wired for this topology and parameter
-    set: [t_ack = Params.t_ack_rounds], [t_prog = Params.t_prog_rounds],
-    [delta_bound = params.delta_bound], [g] the reliable adjacency and
-    [g'_closed] the closed G'-neighborhoods of [dual].  Attach it with
+(** {!Lb_spec.auditor}: the event-fed monitor for this topology and
+    parameter set.  Attach it with
     [Obs.Sink.on_event sink (Obs.Audit.observe a)] {e before} the run so
     it sees the complete stream, and call {!Obs.Audit.finish} after.
     [window] is the causal-evidence ring size per violation. *)
-
-val closed_neighborhoods : Dualgraph.Dual.t -> int array array
-(** The closed G'-neighborhood ([u] plus its G' neighbors) of every
-    vertex — the sets the Seed(δ, ε) bound quantifies over. *)
 
 val seed_observer :
   sink:Obs.Sink.t ->

@@ -106,12 +106,15 @@ let run ?observer ?stop ?sink ?metrics ?faults ?revive ?reception ?tick t
     | Some sink ->
         (* Interleave the protocol stream with the engine's structural
            one, as Service.run does. *)
-        let glue = Lb_obs.create ?metrics ~sink ~dual:t.dual ~params:t.params () in
-        let f record =
-          Lb_obs.observer glue record;
-          match observer with Some f -> f record | None -> ()
-        in
-        Some f
+        let monitor = Lb_spec.monitor ?faults ~dual:t.dual ~params:t.params () in
+        let (_ : Lb_obs.t) = Lb_obs.attach ?metrics ~sink monitor in
+        Some
+          (match observer with
+          | None -> Lb_spec.observe monitor
+          | Some f ->
+              fun record ->
+                Lb_spec.observe monitor record;
+                f record)
   in
   Radiosim.Engine.run ?observer ?stop ?sink ?metrics ?faults ?revive
     ?reception ~dual:t.dual ~scheduler ~nodes:t.nodes ~env ~rounds ()

@@ -80,7 +80,8 @@ val run :
     tick rides the first {e live} node's input poll; a round in which
     every node is dead has no tick.)
     [sink] receives the engine's structural events interleaved with the
-    {!Lb_obs}-translated protocol events, as in {!Service.run}; when
+    protocol events of an {!Lb_spec} monitor tapped by {!Lb_obs.attach}
+    (under [faults] too), as in {!Service.run}; when
     [metrics] is also given the conventional instruments (see
     [docs/OBSERVABILITY.md]) are maintained in it.  [metrics] without
     [sink] is ignored.

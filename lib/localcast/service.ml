@@ -12,22 +12,20 @@ type outcome = {
 
 let default_scheduler ~seed = Sch.bernoulli ~seed ~p:0.5
 
-let finish ?glue ~monitor ~envt ~rounds_executed () =
+let finish ?obs ~monitor ~envt ~rounds_executed () =
   {
     report = Lb_spec.finish monitor;
     env_log = Lb_env.log envt;
     rounds_executed;
-    obs_snapshots =
-      (match glue with Some g -> Lb_obs.snapshots g | None -> []);
+    obs_snapshots = (match obs with Some o -> Lb_obs.snapshots o | None -> []);
   }
 
-(* The optional observability wiring shared by [run] and [one_shot]: a
-   protocol-event translator when a sink is present (metrics ride on
-   it), composed after the spec monitor so both see each record. *)
-let obs_glue ?sink ?metrics ~dual ~params () =
-  match sink with
-  | None -> None
-  | Some sink -> Some (Lb_obs.create ?metrics ~sink ~dual ~params ())
+(* The spec monitor, with the protocol-event tap of [run] and [one_shot]
+   attached when a sink is present (metrics ride on it). *)
+let spec_monitor ?sink ?metrics ?faults ~dual ~params () =
+  let monitor = Lb_spec.monitor ?faults ~dual ~params () in
+  let obs = Option.map (fun sink -> Lb_obs.attach ?metrics ~sink monitor) sink in
+  (monitor, obs)
 
 (* A restarted node re-enters with fresh SeedAlg state: a brand-new
    LBAlg process whose generator is derived from (seed, node, round) via
@@ -51,12 +49,14 @@ let run ?scheduler ?seed_source ?observer ?sink ?metrics ?faults ?reception
   let rng = Prng.Rng.of_int seed in
   let nodes = Lb_alg.network ?seed_source params ~rng ~n in
   let envt = Lb_env.saturate ~n ~senders () in
-  let monitor = Lb_spec.monitor ?faults ~dual ~params ~env:envt () in
-  let glue = obs_glue ?sink ?metrics ~dual ~params () in
-  let observe record =
-    Lb_spec.observe monitor record;
-    (match glue with Some g -> Lb_obs.observer g record | None -> ());
-    match observer with Some f -> f record | None -> ()
+  let monitor, obs = spec_monitor ?sink ?metrics ?faults ~dual ~params () in
+  let observe =
+    match observer with
+    | None -> Lb_spec.observe monitor
+    | Some f ->
+        fun record ->
+          Lb_spec.observe monitor record;
+          f record
   in
   let revive = revive_opt ?seed_source ~params ~seed faults in
   let rounds_executed =
@@ -66,7 +66,7 @@ let run ?scheduler ?seed_source ?observer ?sink ?metrics ?faults ?reception
       ~rounds:(phases * params.Params.phase_len)
       ()
   in
-  finish ?glue ~monitor ~envt ~rounds_executed ()
+  finish ?obs ~monitor ~envt ~rounds_executed ()
 
 let one_shot ?scheduler ?sink ?metrics ?faults ?reception ~dual ~params
     ~sender ~seed () =
@@ -77,21 +77,16 @@ let one_shot ?scheduler ?sink ?metrics ?faults ?reception ~dual ~params
   let rng = Prng.Rng.of_int seed in
   let nodes = Lb_alg.network params ~rng ~n in
   let envt = Lb_env.one_shot ~n ~bcasts:[ (sender, 0) ] in
-  let monitor = Lb_spec.monitor ?faults ~dual ~params ~env:envt () in
-  let glue = obs_glue ?sink ?metrics ~dual ~params () in
-  let observe record =
-    Lb_spec.observe monitor record;
-    match glue with Some g -> Lb_obs.observer g record | None -> ()
-  in
+  let monitor, obs = spec_monitor ?sink ?metrics ?faults ~dual ~params () in
   let revive = revive_opt ~params ~seed faults in
   let rounds_executed =
-    Engine.run ~observer:observe ?sink ?metrics ?faults ?revive ?reception
-      ~dual ~scheduler ~nodes
+    Engine.run ~observer:(Lb_spec.observe monitor) ?sink ?metrics ?faults
+      ?revive ?reception ~dual ~scheduler ~nodes
       ~env:(Lb_env.env envt)
       ~rounds:(Params.t_ack_rounds params)
       ()
   in
-  let outcome = finish ?glue ~monitor ~envt ~rounds_executed () in
+  let outcome = finish ?obs ~monitor ~envt ~rounds_executed () in
   (* Completion is survivor-relative under a fault plan: only reliable
      neighbors alive for the whole run owe (and are owed) a reception. *)
   let counts v =

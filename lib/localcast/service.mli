@@ -55,8 +55,8 @@ val run :
     round record.
 
     [sink] turns on observability: the engine emits its structural
-    events into it and a {!Lb_obs} translator adds the protocol events,
-    interleaved in causal order (an {!Obs.Audit} consumer registered on
+    events into it and the spec monitor's walk ({!Lb_obs.attach}) adds
+    the protocol events, interleaved in causal order (an {!Obs.Audit} consumer registered on
     the sink before the call sees the complete stream).  [metrics], used
     together with [sink], additionally maintains the conventional
     instruments and fills [obs_snapshots] with one labeled snapshot per

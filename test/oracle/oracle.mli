@@ -111,3 +111,29 @@ module Rng : sig
   val workload_mix : int -> int
   (** [Macapps.Workload]'s 63-bit finalizer. *)
 end
+
+(** The record-fed LB(t_ack, t_prog, ε) monitor, frozen as it stood before
+    the spec bookkeeping moved into the {!Obs.Audit} core: payload-keyed
+    tables, liveness read from the fault plan, a crashed sender no longer
+    actively broadcasting.  The property suite holds
+    {!Localcast.Lb_spec}'s report to this one, field by field. *)
+module Lb_spec : sig
+  type monitor
+
+  val monitor :
+    ?faults:Faults.Plan.t ->
+    dual:Dualgraph.Dual.t ->
+    params:Localcast.Params.t ->
+    unit ->
+    monitor
+
+  val observe :
+    monitor ->
+    ( Localcast.Messages.msg,
+      Localcast.Messages.lb_input,
+      Localcast.Messages.lb_output )
+    Radiosim.Trace.round_record ->
+    unit
+
+  val finish : monitor -> Localcast.Lb_spec.report
+end
