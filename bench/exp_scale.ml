@@ -92,9 +92,10 @@ let digest_observer acc record =
     record.Trace.delivered;
   acc := !h
 
-(* The timed run carries no observer: materializing four n-sized record
-   arrays per round is the *instrumentation* cost, not the engine's, and
-   at n = 10^6 it dominates.  The trace digest comes from a separate,
+(* The timed run carries no observer: the digest walks the record's four
+   n-sized arrays every round (the engine lends them without copying),
+   which is the *instrumentation* cost, not the engine's, and at
+   n = 10^6 it dominates.  The trace digest comes from a separate,
    untimed run over identically-seeded state. *)
 let timed_run ?reception ~name ~dual ~nodes ~seed ~rounds ~tiles () =
   let scheduler = Sch.bernoulli_sparse ~seed ~p:sched_p in

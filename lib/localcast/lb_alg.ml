@@ -32,7 +32,9 @@ let phase_of_round params round = round / params.Params.phase_len
 
 let position_in_phase params round = round mod params.Params.phase_len
 
-let has_preamble params phase = phase mod params.Params.seed_refresh = 0
+(* The default [seed_refresh = 1] needs no division. *)
+let has_preamble params phase =
+  params.Params.seed_refresh = 1 || phase mod params.Params.seed_refresh = 0
 
 let is_preamble_round params round =
   has_preamble params (phase_of_round params round)
@@ -134,7 +136,7 @@ let rec take_inputs state = function
   | [] -> ()
   | Messages.Bcast m :: rest ->
       (* The LB environment contract: one outstanding bcast per node. *)
-      assert (state.pending = None);
+      (match state.pending with None -> () | Some _ -> assert false);
       (match state.mode with Receiving -> () | Sending _ -> assert false);
       state.pending <- Some m;
       take_inputs state rest
@@ -142,8 +144,10 @@ let rec take_inputs state = function
 let decide state ~round inputs =
   let params = state.params in
   take_inputs state inputs;
-  let phase = phase_of_round params round in
-  let pos = position_in_phase params round in
+  let phase_len = params.Params.phase_len in
+  let phase = round / phase_len in
+  let pos = round - (phase * phase_len) in
+  let preamble = has_preamble params phase in
   if pos = 0 then begin
     (* Phase boundary: promote a pending bcast to sending state... *)
     (match (state.mode, state.pending) with
@@ -152,7 +156,7 @@ let decide state ~round inputs =
         state.pending <- None
     | _ -> ());
     (* ...and open a fresh seed source when this phase carries one. *)
-    if has_preamble params phase then begin
+    if preamble then begin
       state.cursor <- None;
       match state.source with
       | Src_agreement ->
@@ -161,28 +165,29 @@ let decide state ~round inputs =
       | Src_oracle _ -> state.core <- None
     end
   end;
-  if has_preamble params phase && pos < params.Params.ts then
+  if preamble && pos < params.Params.ts then
     match state.core with
     | Some core -> Seed_core.decide_action core ~local_round:pos
     | None -> P.Listen (* oracle mode idles through the preamble *)
   else begin
     (* First body round after a preamble: commit the phase's seed. *)
-    (match state.source with
-    | Src_agreement -> if state.core <> None then commit_seed state
-    | Src_oracle _ ->
-        if state.cursor = None then begin
-          let seed = oracle_seed state ~phase in
-          state.cursor <- Some (Prng.Bitstring.cursor seed);
-          (* Owner -1 marks the magical global owner. *)
-          queue_output state (Messages.Committed { Messages.owner = -1; seed })
-        end);
+    (match (state.source, state.core, state.cursor) with
+    | Src_agreement, Some _, _ -> commit_seed state
+    | Src_oracle _, _, None ->
+        let seed = oracle_seed state ~phase in
+        state.cursor <- Some (Prng.Bitstring.cursor seed);
+        (* Owner -1 marks the magical global owner. *)
+        queue_output state (Messages.Committed { Messages.owner = -1; seed })
+    | (Src_agreement | Src_oracle _), _, _ -> ());
     body_action state
   end
 
 let absorb state ~round received =
   let params = state.params in
-  let pos = position_in_phase params round in
-  let in_preamble = is_preamble_round params round in
+  let phase_len = params.Params.phase_len in
+  let phase = round / phase_len in
+  let pos = round - (phase * phase_len) in
+  let in_preamble = has_preamble params phase && pos < params.Params.ts in
   (match received with
   | Some (Messages.Seed_msg _ as msg) ->
       if in_preamble then
@@ -200,7 +205,7 @@ let absorb state ~round received =
         | Some core -> Seed_core.absorb core ~local_round:pos None
         | None -> ()));
   (* Phase end: retire finished senders. *)
-  if pos = params.Params.phase_len - 1 then begin
+  if pos = phase_len - 1 then begin
     match state.mode with
     | Sending s ->
         s.phases_left <- s.phases_left - 1;
@@ -210,9 +215,11 @@ let absorb state ~round received =
         end
     | Receiving -> ()
   end;
-  let outs = List.rev state.pending_outputs in
-  state.pending_outputs <- [];
-  outs
+  match state.pending_outputs with
+  | [] -> []
+  | outs ->
+      state.pending_outputs <- [];
+      List.rev outs
 
 let node ?(seed_source = Agreement) params ~id ~rng =
   let state = create params ~source:(resolve_source seed_source) ~id ~rng in

@@ -83,10 +83,3 @@ let saturate ?(start = 0) ~n ~senders () =
     ~reissue:true
 
 let one_shot ~n ~bcasts = make ~name:"one-shot" ~n ~initial:bcasts ~reissue:false
-
-let is_active t ~node ~round =
-  List.exists
-    (fun e ->
-      e.node = node && e.bcast_round <= round
-      && match e.ack_round with None -> true | Some a -> round <= a)
-    !(t.entries)

@@ -2,9 +2,9 @@
 
     The problem constrains environments to (1) never reuse a message and
     (2) wait for [ack(m)_u] before handing [u] another [bcast].  The
-    environments here obey both and keep a {!log} of every bcast/ack pair,
-    which the {!Lb_spec} checker consumes to reconstruct the
-    actively-broadcasting intervals. *)
+    environments here obey both and keep a {!log} of every bcast/ack pair
+    and its receptions.  Which nodes are actively broadcasting is the
+    spec monitor's to decide ({!Obs.Audit}, fed by {!Lb_spec}). *)
 
 type entry = {
   node : int;
@@ -31,8 +31,3 @@ val saturate : ?start:int -> n:int -> senders:int list -> unit -> t
 val one_shot : n:int -> bcasts:(int * int) list -> t
 (** [one_shot ~n ~bcasts] issues a single [bcast] to each [(node, round)]
     pair.  Used for acknowledgement-latency and reliability experiments. *)
-
-val is_active : t -> node:int -> round:int -> bool
-(** Whether the node is actively broadcasting some message in the given
-    round (it received a bcast at or before [round] and had not acked it
-    by the end of round [round - 1]). *)

@@ -28,9 +28,16 @@ type status =
   | Inactive
 
 val create : Params.seed -> id:int -> rng:Prng.Rng.t -> t
-(** Draws the initial seed uniformly from [{0,1}^kappa] using [rng]. *)
+(** The initial seed is a uniform element of [{0,1}^kappa]: the next
+    [kappa] draws of [rng].  [create] advances [rng] past them at once
+    ({!Prng.Rng.skip}), so [rng]'s later draws are those an eager draw
+    would leave, but it builds the seed only on first use — leader
+    election, the default decision in {!finalize}, or {!initial_seed} —
+    from a copy of [rng] taken before the skip.  A node that adopts a
+    neighbour's seed never builds its own. *)
 
 val initial_seed : t -> Prng.Bitstring.t
+(** The node's own seed, built on the first call. *)
 
 val status : t -> status
 

@@ -17,11 +17,9 @@ let set_bit data i =
 
 let random rng k =
   assert (k >= 0);
-  let t = make_empty k in
-  for i = 0 to k - 1 do
-    if Rng.bool rng then set_bit t.data i
-  done;
-  t
+  let data = Bytes.create (byte_count k) in
+  Rng.fill_bools rng data k;
+  { len = k; data }
 
 let of_bools bools =
   let t = make_empty (List.length bools) in
@@ -78,19 +76,57 @@ let take_bit c =
   c.pos <- c.pos + 1;
   b
 
+(* A take of [k] bits past the end fails as [k] calls to [take_bit]
+   would: after consuming every remaining bit. *)
+let check_take c k =
+  if c.pos + k > c.src.len then begin
+    c.pos <- c.src.len;
+    invalid_arg "Bitstring.take_bit: exhausted"
+  end
+
+(* Bits [pos, pos + k) of [data] as an int, bit [pos] least significant,
+   for [k <= 56] inside the string: one 8-byte load, or a byte loop over
+   the last (at most 7) bytes. *)
+let[@inline] window data pos k =
+  let byte = pos lsr 3 and len = Bytes.length data in
+  let w =
+    if byte + 8 <= len then Int64.to_int (Bytes.get_int64_le data byte)
+    else begin
+      let w = ref 0 in
+      for j = len - 1 downto byte do
+        w := (!w lsl 8) lor Char.code (Bytes.unsafe_get data j)
+      done;
+      !w
+    end
+  in
+  (w lsr (pos land 7)) land ((1 lsl k) - 1)
+
+(* The low [k <= 32] bits of [x < 2^32], in reverse order. *)
+let[@inline] reverse x k =
+  let x = ((x lsr 1) land 0x55555555) lor ((x land 0x55555555) lsl 1) in
+  let x = ((x lsr 2) land 0x33333333) lor ((x land 0x33333333) lsl 2) in
+  let x = ((x lsr 4) land 0x0F0F0F0F) lor ((x land 0x0F0F0F0F) lsl 4) in
+  let x = ((x lsr 8) land 0x00FF00FF) lor ((x land 0x00FF00FF) lsl 8) in
+  let x = ((x lsr 16) land 0xFFFF) lor ((x land 0xFFFF) lsl 16) in
+  x lsr (32 - k)
+
 let take_int c k =
   assert (k >= 0 && k <= 30);
-  let rec go acc remaining =
-    if remaining = 0 then acc
-    else go ((acc lsl 1) lor (if take_bit c then 1 else 0)) (remaining - 1)
-  in
-  go 0 k
+  check_take c k;
+  let pos = c.pos in
+  c.pos <- pos + k;
+  reverse (window c.src.data pos k) k
+
+let rec all_zero data pos k =
+  k <= 0 || (window data pos (min k 30) = 0 && all_zero data (pos + 30) (k - 30))
 
 let take_all_zero c k =
   (* Consume all [k] bits even after seeing a 1, so that nodes sharing a
      seed stay aligned on the same cursor position. *)
-  let all_zero = ref true in
-  for _ = 1 to k do
-    if take_bit c then all_zero := false
-  done;
-  !all_zero
+  if k <= 0 then true
+  else begin
+    check_take c k;
+    let pos = c.pos in
+    c.pos <- pos + k;
+    all_zero c.src.data pos k
+  end

@@ -20,7 +20,9 @@ val get : t -> int -> bool
     range. *)
 
 val random : Rng.t -> int -> t
-(** [random rng k] draws a uniform element of [{0,1}^k]. *)
+(** [random rng k] draws a uniform element of [{0,1}^k]: bit [i] is the
+    [i]-th of [k] {!Rng.bool} draws, filled in one {!Rng.fill_bools}
+    loop, and [rng] ends [k] draws further on. *)
 
 val of_bools : bool list -> t
 
@@ -42,7 +44,14 @@ val to_string : t -> string
 val of_string : string -> t
 (** Parse a "0"/"1" string.  Raises [Invalid_argument] on other chars. *)
 
-(** {1 Cursors} *)
+(** {1 Cursors}
+
+    {!take_int} and {!take_all_zero} read their bits as one window (an
+    8-byte load, shifted and masked) after a single range check, not bit
+    by bit.  What they return and where they leave the cursor is what
+    [k] calls to {!take_bit} would give, exhaustion included: a take
+    running past the end consumes every remaining bit and then raises
+    [Invalid_argument "Bitstring.take_bit: exhausted"]. *)
 
 type cursor
 (** A mutable read position into a bitstring. *)
@@ -64,4 +73,6 @@ val take_int : cursor -> int -> int
 
 val take_all_zero : cursor -> int -> bool
 (** [take_all_zero c k] consumes [k] bits and reports whether all were 0 —
-    the "participant" test of LBAlg's body round (probability [2^-k]). *)
+    the "participant" test of LBAlg's body round (probability [2^-k]).
+    It consumes all [k] even after a 1; [k <= 0] consumes nothing and
+    returns [true]. *)

@@ -46,6 +46,27 @@ let bits64 t = next t
 
 let[@inline] bool t = Int64.logand (next t) 1L = 1L
 
+(* Counter mode: the state after i steps is s0 + i·gamma (wrapping), so
+   draw i (0-based) is [mix (s0 + (i + 1)·gamma)] and no draw depends on
+   the one before it. *)
+let fill_bools t buf k =
+  assert (k >= 0 && (k + 7) / 8 <= Bytes.length buf);
+  let s0 = Bytes.get_int64_ne t 0 in
+  for j = 0 to ((k + 7) / 8) - 1 do
+    let byte = ref 0 in
+    for b = 0 to min 7 (k - (8 * j) - 1) do
+      let z = Int64.add s0 (Int64.mul (Int64.of_int ((8 * j) + b + 1)) golden_gamma) in
+      byte := !byte lor ((Int64.to_int (mix z) land 1) lsl b)
+    done;
+    Bytes.unsafe_set buf j (Char.unsafe_chr !byte)
+  done;
+  Bytes.set_int64_ne t 0 (Int64.add s0 (Int64.mul (Int64.of_int k) golden_gamma))
+
+let skip t k =
+  assert (k >= 0);
+  Bytes.set_int64_ne t 0
+    (Int64.add (Bytes.get_int64_ne t 0) (Int64.mul (Int64.of_int k) golden_gamma))
+
 let[@inline] bits t k =
   (* 62 is the widest width whose values are all non-negative OCaml ints
      on 64-bit platforms (an int has 63 value bits including the sign). *)

@@ -34,6 +34,21 @@ val bits64 : t -> int64
 val bool : t -> bool
 (** A fair coin. *)
 
+val fill_bools : t -> Bytes.t -> int -> unit
+(** [fill_bools t buf k] writes [k] successive {!bool} draws into the
+    first [(k + 7) / 8] bytes of [buf]: draw [i] becomes bit [i mod 8]
+    (least significant first) of byte [i / 8], and the unused high bits
+    of the last byte are cleared.  The bits and the final position equal
+    those of [k] calls to {!bool}, because a SplitMix64 state after [i]
+    steps is [s0 + i·gamma]: draw [i] is the finalized counter
+    [s0 + (i + 1)·gamma], computed directly rather than step by step.
+    Requires [k >= 0] and [Bytes.length buf >= (k + 7) / 8]. *)
+
+val skip : t -> int -> unit
+(** [skip t k] advances [t] by [k] draws in O(1): afterwards [t] yields
+    what it would after [k] calls to {!bits64} (or {!bool}), since [k]
+    steps add [k·gamma] to the state.  Requires [k >= 0]. *)
+
 val bits : t -> int -> int
 (** [bits t k] is a uniform integer in [\[0, 2^k)], for [0 <= k <= 62]
     (the full non-negative range of a 64-bit-platform OCaml int). *)

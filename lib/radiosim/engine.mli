@@ -65,8 +65,12 @@ val run :
 (** Executes up to [rounds] rounds and returns the number actually
     executed.  [observer] sees each round's record as it completes;
     [stop], checked after the observer, ends the run early when it
-    returns [true].  Raises [Invalid_argument] if the node array size
-    differs from the graph's vertex count.
+    returns [true].  A record's four arrays are the engine's own
+    per-round scratch, allocated once per run: they are lent only for
+    the duration of the call and overwritten by the next round, so an
+    observer that keeps a record copies them ({!Trace.recorder} does).
+    Raises [Invalid_argument] if the node array size differs from the
+    graph's vertex count.
 
     [sink], when given, receives the structural event stream of the run
     (per round: [Round_start], one [Transmit] per transmitter, one

@@ -173,21 +173,21 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
   let outbox = Array.init k (fun _ -> Array.init k (fun _ -> ibuf_make 0)) in
   let on_air = ibuf_make 0 in
   let jam_hits = Array.make k 0 in
-  (* A round record can escape only through [observer] or [stop]; when
-     neither is supplied the per-round arrays are reused across rounds
-     instead of being reallocated. *)
-  let record_escapes = observer <> None || stop <> None in
-  let inputs_r = ref (Array.make n []) in
-  let actions_r = ref (Array.make n Process.Listen) in
-  let delivered_r = ref (Array.make n None) in
-  let outputs_r = ref (Array.make n []) in
+  (* The per-round arrays are allocated once per run: every slot is
+     rewritten each round, and a round record only lends them to
+     [observer] and [stop] for the duration of the call
+     ([Trace.recorder] copies them). *)
+  let inputs = Array.make n [] in
+  let actions = Array.make n Process.Listen in
+  let delivered = Array.make n None in
+  let outputs = Array.make n [] in
   (* Tiles poll their own members' inputs, all of them before the first
      decide; a stateful environment on several tiles is polled by the
      coordinator instead, in the same ascending order. *)
   let tiles_poll = one || env.Env.pure_inputs in
   (* Polls nodes [mem.(0 .. len-1)], or [0 .. len-1] when [ident]. *)
   let poll ~ident mem len =
-    let t = !round and inputs = !inputs_r in
+    let t = !round in
     for idx = 0 to len - 1 do
       let v = if ident then idx else Array.unsafe_get mem idx in
       inputs.(v) <- (if is_dead v then [] else env.Env.inputs ~round:t ~node:v)
@@ -198,7 +198,6 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
      for its decision but taken off the air. *)
   let phase_decide i =
     let t = !round in
-    let inputs = !inputs_r and actions = !actions_r in
     let mem = members.(i) and len = size i in
     if tiles_poll then poll ~ident:one mem len;
     let txb = tx.(i) in
@@ -298,9 +297,6 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
      member's delivery and step its process. *)
   let phase_absorb i =
     let t = !round in
-    let actions = !actions_r
-    and delivered = !delivered_r
-    and outputs = !outputs_r in
     let tb = touched.(i) in
     for src_tile = 0 to k - 1 do
       if src_tile <> i then begin
@@ -375,12 +371,6 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
                   | Some s ->
                       Obs.Sink.emit s (Obs.Event.Restart { round = t; node }));
                   Option.iter Obs.Metrics.incr ctr_restart));
-      if record_escapes && t > 0 then begin
-        inputs_r := Array.make n [];
-        actions_r := Array.make n Process.Listen;
-        delivered_r := Array.make n None;
-        outputs_r := Array.make n []
-      end;
       if not tiles_poll then poll ~ident:true [||] n;
       par phase_decide;
       let tcount = ref 0 in
@@ -452,7 +442,6 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
               Obs.Sink.emit s (Obs.Event.Transmit { round = t; node = v })
           done;
           if !tcount > 0 then begin
-            let actions = !actions_r in
             for u = 0 to n - 1 do
               match actions.(u) with
               | Process.Transmit _ -> ()
@@ -499,25 +488,17 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
         done
       end;
       (* Outputs, consumed by the environment. *)
-      let outputs = !outputs_r in
       for v = 0 to n - 1 do
         match outputs.(v) with
         | [] -> ()
         | outs -> env.Env.notify ~round:t ~node:v outs
       done;
-      if record_escapes then begin
-        let record =
-          {
-            Trace.round = t;
-            inputs = !inputs_r;
-            actions = !actions_r;
-            delivered = !delivered_r;
-            outputs;
-          }
-        in
-        (match observer with Some f -> f record | None -> ());
-        match stop with Some p when p record -> continue := false | _ -> ()
-      end;
+      (match (observer, stop) with
+      | None, None -> ()
+      | _ -> (
+          let record = { Trace.round = t; inputs; actions; delivered; outputs } in
+          (match observer with Some f -> f record | None -> ());
+          match stop with Some p when p record -> continue := false | _ -> ()));
       (* Round_end comes after the observer so that protocol-level events
          a translating observer emits (Localcast.Lb_obs) land inside the
          round's bracket. *)

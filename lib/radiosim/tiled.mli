@@ -81,7 +81,10 @@ val run :
 (** Like {!Engine.run}, executed over [tiles] tiles on as many domains
     (default {!default_tiles}; values are clamped to the vertex
     count).  [tiles = 1] is exactly {!Engine.run}: no tiling state and
-    no pool.  Returns the number of rounds executed.
+    no pool.  Returns the number of rounds executed.  As in
+    {!Engine.run}, [observer] and [stop] are lent each round record's
+    arrays only for the duration of the call ({!Trace.recorder} copies
+    them).
 
     An exception raised by a process on any worker domain is
     re-raised here with its backtrace after the in-flight phase

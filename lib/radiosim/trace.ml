@@ -11,9 +11,20 @@ type ('msg, 'input, 'output) t = {
   mutable len : int;
 }
 
+(* The engine lends a record's arrays only for the observer call, so a
+   kept record is a copy. *)
 let recorder () =
   let t = { records = [||]; len = 0 } in
   let push record =
+    let record =
+      {
+        record with
+        inputs = Array.copy record.inputs;
+        actions = Array.copy record.actions;
+        delivered = Array.copy record.delivered;
+        outputs = Array.copy record.outputs;
+      }
+    in
     let cap = Array.length t.records in
     if t.len = cap then begin
       let fresh = Array.make (max 16 (2 * cap)) record in

@@ -6,6 +6,12 @@
     ({!Localcast.Seed_spec}, {!Localcast.Lb_spec}) are written against
     these records.
 
+    The engine reuses one set of per-round arrays for the whole run: a
+    record handed to an [observer] or [stop] lends them only for the
+    duration of that call, and the next round overwrites them.  An
+    observer that keeps a record past the call must copy its arrays, as
+    {!recorder} does.
+
     Recording a full trace costs memory proportional to [rounds × n];
     long sweeps instead pass a streaming observer to the engine and keep
     nothing. *)
@@ -24,7 +30,9 @@ type ('msg, 'input, 'output) t
 val recorder :
   unit ->
   ('msg, 'input, 'output) t * (('msg, 'input, 'output) round_record -> unit)
-(** A fresh trace plus the observer that appends to it. *)
+(** A fresh trace plus the observer that appends to it.  The observer
+    stores a copy of each record's four arrays, so the trace outlives
+    the engine's reuse of them. *)
 
 val length : ('msg, 'input, 'output) t -> int
 (** Number of recorded rounds. *)

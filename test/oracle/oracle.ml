@@ -319,6 +319,36 @@ module Rng = struct
     (z lxor (z lsr 32)) land max_int
 end
 
+(* Prng.Bitstring's draw loop and cursor takes, frozen as they stood
+   before the bits were filled in one counter-mode loop and read as
+   windows: one Rng.bool per bit, and one take_bit per bit consumed. *)
+module Bitstring = struct
+  module B = Prng.Bitstring
+
+  let random rng k =
+    assert (k >= 0);
+    let bits = Bytes.make k '0' in
+    for i = 0 to k - 1 do
+      if Prng.Rng.bool rng then Bytes.set bits i '1'
+    done;
+    B.of_string (Bytes.to_string bits)
+
+  let take_int c k =
+    assert (k >= 0 && k <= 30);
+    let rec go acc remaining =
+      if remaining = 0 then acc
+      else go ((acc lsl 1) lor (if B.take_bit c then 1 else 0)) (remaining - 1)
+    in
+    go 0 k
+
+  let take_all_zero c k =
+    let all_zero = ref true in
+    for _ = 1 to k do
+      if B.take_bit c then all_zero := false
+    done;
+    !all_zero
+end
+
 (* The record-fed LB(t_ack, t_prog, ε) monitor, frozen as it stood before
    the spec bookkeeping moved into the Obs.Audit core (with its fix for
    restarted senders): payload-keyed tables, liveness read from the

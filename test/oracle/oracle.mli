@@ -112,6 +112,18 @@ module Rng : sig
   (** [Macapps.Workload]'s 63-bit finalizer. *)
 end
 
+(** {!Prng.Bitstring}'s seed draw and cursor takes, frozen as they stood
+    before the bits were filled by {!Prng.Rng.fill_bools} and read as
+    windows: one {!Prng.Rng.bool} per bit drawn, one
+    {!Prng.Bitstring.take_bit} per bit consumed.  The property suite
+    holds the production draw and takes to these, value, generator
+    position and cursor position alike. *)
+module Bitstring : sig
+  val random : Prng.Rng.t -> int -> Prng.Bitstring.t
+  val take_int : Prng.Bitstring.cursor -> int -> int
+  val take_all_zero : Prng.Bitstring.cursor -> int -> bool
+end
+
 (** The record-fed LB(t_ack, t_prog, ε) monitor, frozen as it stood before
     the spec bookkeeping moved into the {!Obs.Audit} core: payload-keyed
     tables, liveness read from the fault plan, a crashed sender no longer

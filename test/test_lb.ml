@@ -339,17 +339,6 @@ let test_env_unique_payloads () =
   checki "payloads unique" (List.length payloads)
     (List.length (List.sort_uniq compare payloads))
 
-let test_env_is_active () =
-  let dual = Geo.singleton () in
-  let params = small_params ~tack_phases:1 dual in
-  let envt = Lb_env.one_shot ~n:1 ~bcasts:[ (0, 0) ] in
-  let (_ : 'a * 'b) = run_lb ~params ~envt ~rounds:(3 * params.Params.phase_len) dual in
-  let entry = List.hd (Lb_env.log envt) in
-  let ack = Option.get entry.Lb_env.ack_round in
-  checkb "active at bcast" true (Lb_env.is_active envt ~node:0 ~round:0);
-  checkb "active at ack round" true (Lb_env.is_active envt ~node:0 ~round:ack);
-  checkb "inactive after ack" false (Lb_env.is_active envt ~node:0 ~round:(ack + 1))
-
 (* --- Lb_spec monitor on synthetic records --- *)
 
 let mk_record ~n ~round ?(inputs = []) ?(delivered = []) ?(outputs = []) () =
@@ -574,7 +563,6 @@ let suite =
       ("env one_shot", test_env_one_shot);
       ("env saturate reissues", test_env_saturate_reissues);
       ("env unique payloads", test_env_unique_payloads);
-      ("env is_active", test_env_is_active);
       ("spec validity violation", test_spec_validity_violation);
       ("spec valid recv", test_spec_valid_recv);
       ("spec reliability failure", test_spec_reliability_failure);

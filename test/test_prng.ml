@@ -249,6 +249,14 @@ let test_draws_allocation_free () =
       ignore (Rng.round_hash ~round:i ~salt:(i * 2654435761)));
   check_no_alloc "node_hash" (fun i -> ignore (Rng.node_hash ~seed:17 ~node:i ~round:(i lsr 3)));
   check_no_alloc "mix63" (fun i -> ignore (Rng.mix63 i));
+  check_no_alloc "skip" (fun i -> Rng.skip g i);
+  let buf = Bytes.create 64 in
+  check_no_alloc "fill_bools" (fun i -> Rng.fill_bools g buf (i mod 513));
+  (* Enough bits for every take below: 10^4 + 15·10^4 + 31.5·10^4. *)
+  let c = Bits.cursor (Bits.random g (64 * calls)) in
+  check_no_alloc "take_bit" (fun _ -> ignore (Bits.take_bit c));
+  check_no_alloc "take_int" (fun i -> ignore (Bits.take_int c (i mod 31)));
+  check_no_alloc "take_all_zero" (fun i -> ignore (Bits.take_all_zero c (i mod 64)));
   let boxed name bound f =
     let w = words_per_call f in
     checkb (Printf.sprintf "%s allocates at most its %g-word block (%g)" name bound w)
@@ -407,6 +415,95 @@ let keyed_match (seed, node, round) =
   && Rng.mix (Int64.of_int seed) = Ref.mix (Int64.of_int seed)
   && Rng.mix63 seed = Ref.workload_mix seed
 
+(* --- frozen bit kernels ---
+
+   The seed fill and the window takes against their per-bit originals in
+   test/oracle: a dropped, repeated or reordered draw or bit shows as a
+   different value or a different position. *)
+
+module Ref_bits = Oracle.Bitstring
+
+let kappa_gen =
+  QCheck.Gen.(
+    oneof [ int_bound 5000; int_bound 70; oneofl [ 0; 1; 7; 8; 9; 63; 64; 65; 3102 ] ])
+
+let same_stream g r = List.init 4 (fun _ -> Rng.bits64 g) = List.init 4 (fun _ -> Rng.bits64 r)
+
+let random_matches (seed, k) =
+  let g = Rng.create seed and r = Rng.create seed in
+  let b = Bits.random g k and want = Ref_bits.random r k in
+  (Bits.equal b want || QCheck.Test.fail_reportf "bits differ: %s" (Bits.to_string b))
+  && (same_stream g r || QCheck.Test.fail_report "generator position differs")
+
+let skip_matches (seed, k) =
+  let g = Rng.create seed and r = Rng.create seed in
+  Rng.skip g k;
+  for _ = 1 to k do
+    ignore (Rng.bits64 r)
+  done;
+  same_stream g r
+
+type take = Take_bit | Take_int of int | Take_all_zero of int
+
+let show_take = function
+  | Take_bit -> "take_bit"
+  | Take_int k -> Printf.sprintf "take_int %d" k
+  | Take_all_zero k -> Printf.sprintf "take_all_zero %d" k
+
+let take_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Take_bit);
+        (3, map (fun k -> Take_int k) (int_bound 30));
+        (3, map (fun k -> Take_all_zero k) (int_range (-2) 70));
+      ])
+
+(* A bitstring whose bits are 1 with probability 1/density, so long zero
+   runs (and [take_all_zero] hits) are common at the larger densities. *)
+let biased_bits ~seed ~density len =
+  let g = Rng.of_int seed in
+  Bits.of_bools (List.init len (fun _ -> Rng.int g density = 0))
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let takes_match ((seed, density, len, start), ops) =
+  let s = biased_bits ~seed ~density len in
+  let c = Bits.cursor s and r = Bits.cursor s in
+  for _ = 1 to min start len do
+    ignore (Bits.take_bit c);
+    ignore (Bits.take_bit r)
+  done;
+  let b2i b = if b then 1 else 0 in
+  List.for_all
+    (fun op ->
+      let got, want =
+        match op with
+        | Take_bit ->
+            (outcome (fun () -> b2i (Bits.take_bit c)), outcome (fun () -> b2i (Bits.take_bit r)))
+        | Take_int k -> (outcome (fun () -> Bits.take_int c k), outcome (fun () -> Ref_bits.take_int r k))
+        | Take_all_zero k ->
+            ( outcome (fun () -> b2i (Bits.take_all_zero c k)),
+              outcome (fun () -> b2i (Ref_bits.take_all_zero r k)) )
+      in
+      (got = want && Bits.position c = Bits.position r)
+      || QCheck.Test.fail_reportf "%s: ends at %d, the per-bit take at %d" (show_take op)
+           (Bits.position c) (Bits.position r))
+    ops
+
+let test_cursor_exhaustion () =
+  let exhausted = Invalid_argument "Bitstring.take_bit: exhausted" in
+  let c = Bits.cursor (Bits.of_string "0010110") in
+  ignore (Bits.take_bit c);
+  Alcotest.check_raises "take_int past the end" exhausted (fun () -> ignore (Bits.take_int c 7));
+  checki "take_int consumed every remaining bit" 7 (Bits.position c);
+  checki "take_int 0 at the end" 0 (Bits.take_int c 0);
+  checkb "take_all_zero 0 at the end" true (Bits.take_all_zero c 0);
+  let c = Bits.cursor (Bits.of_string "0000") in
+  Alcotest.check_raises "take_all_zero past the end" exhausted (fun () ->
+      ignore (Bits.take_all_zero c 5));
+  checki "take_all_zero consumed every remaining bit" 4 (Bits.position c)
+
 (* --- Bitstring --- *)
 
 let test_bits_of_bools_roundtrip () =
@@ -507,6 +604,20 @@ let qcheck_cases =
     Test.make ~name:"keyed hashes match their Int64 formulas" ~count:1000
       (make ~print:Print.(triple int int int) Gen.(triple key_int key_int key_int))
       keyed_match;
+    Test.make ~name:"bitstring random equals the frozen per-bit loop" ~count:300
+      (pair seed_arb (make ~print:Print.int kappa_gen))
+      random_matches;
+    Test.make ~name:"rng skip equals k draws" ~count:300
+      (pair seed_arb (make ~print:Print.int kappa_gen))
+      skip_matches;
+    Test.make ~name:"cursor window takes equal the frozen per-bit takes" ~count:500
+      (make
+         ~print:Print.(pair (quad int int int int) (list show_take))
+         Gen.(
+           pair
+             (quad int (oneofl [ 2; 8; 64 ]) (int_bound 300) (int_bound 300))
+             (list_size (int_bound 40) take_gen)))
+      takes_match;
     Test.make ~name:"shuffle preserves multiset" ~count:200
       (pair (small_list small_int) small_int)
       (fun (l, seed) ->
@@ -550,5 +661,6 @@ let suite =
       ("cursor sequential", test_cursor_sequential);
       ("cursor take_int", test_cursor_take_int);
       ("cursor take_all_zero", test_cursor_take_all_zero);
+      ("cursor exhaustion", test_cursor_exhaustion);
     ]
   @ List.map QCheck_alcotest.to_alcotest qcheck_cases

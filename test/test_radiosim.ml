@@ -427,6 +427,27 @@ let test_trace_fold_iter () =
   Trace.iter (fun _ -> incr count) trace;
   checki "iter visits all" 10 !count
 
+(* The engine lends every round the same four arrays; a recorded trace
+   must keep its own copies, or every record would show the last round. *)
+let test_trace_recorder_snapshots () =
+  let trace, obs = Trace.recorder () in
+  let nodes = [| talker ~src:0 ~when_:(fun r -> r = 0); listener () |] in
+  let (_ : int) =
+    Engine.run ~observer:obs ~dual:(Geo.pair ()) ~scheduler:Sch.reliable_only ~nodes
+      ~env:(Env.null ~name:"t" ())
+      ~rounds:2 ()
+  in
+  let r0 = Trace.get trace 0 and r1 = Trace.get trace 1 in
+  let transmits r = match r.Trace.actions.(0) with P.Transmit _ -> true | P.Listen -> false in
+  checkb "round 0: node 0 transmitted" true (transmits r0);
+  checkb "round 1: node 0 listened" false (transmits r1);
+  checkb "round 0: node 1 received" true (r0.Trace.delivered.(1) <> None);
+  checkb "round 1: node 1 heard nothing" true (r1.Trace.delivered.(1) = None);
+  checkb "inputs arrays distinct" true (r0.Trace.inputs != r1.Trace.inputs);
+  checkb "actions arrays distinct" true (r0.Trace.actions != r1.Trace.actions);
+  checkb "delivered arrays distinct" true (r0.Trace.delivered != r1.Trace.delivered);
+  checkb "outputs arrays distinct" true (r0.Trace.outputs != r1.Trace.outputs)
+
 (* --- environments --- *)
 
 let test_env_scripted () =
@@ -559,6 +580,7 @@ let suite =
       ("trace length/get", test_trace_length_get);
       ("trace queries", test_trace_queries);
       ("trace fold/iter", test_trace_fold_iter);
+      ("Trace.recorder keeps snapshots", test_trace_recorder_snapshots);
       ("env scripted", test_env_scripted);
       ("env inputs reach process", test_env_inputs_reach_process);
       ("engine call order", test_engine_call_order);

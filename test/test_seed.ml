@@ -102,6 +102,46 @@ let test_core_default_decision () =
       checkb "own seed" true (Bits.equal seed (Seed_core.initial_seed core))
   | None -> Alcotest.fail "no decision after finalize")
 
+(* [create] skips the seed's κ draws and builds the seed on first use:
+   the generator's next draw after [create] is the one an eager draw
+   leaves, and the seed, however late it is first read — by a leader
+   election, by [finalize], or by [initial_seed] after the machine has
+   drawn its coins — is the eager one. *)
+let seed_built_late_matches_eager (seed, kappa, delta, rounds) =
+  let params = seed_params ~delta ~kappa () in
+  let eager_rng = Rng.create seed in
+  let eager = Bits.random eager_rng kappa in
+  let rng = Rng.create seed in
+  let core = Seed_core.create params ~id:5 ~rng in
+  let next = Rng.bits64 (Rng.copy rng) in
+  let rounds = min rounds (Seed_core.duration core) in
+  for round = 0 to rounds - 1 do
+    let (_ : M.msg Radiosim.Process.action) =
+      Seed_core.decide_action core ~local_round:round
+    in
+    Seed_core.absorb core ~local_round:round None
+  done;
+  if rounds = Seed_core.duration core then Seed_core.finalize core;
+  let own =
+    match Seed_core.decision core with
+    | Some { M.seed; _ } -> seed
+    | None -> Seed_core.initial_seed core
+  in
+  (next = Rng.bits64 eager_rng
+  || QCheck.Test.fail_report "create moved the generator elsewhere than kappa draws on")
+  && (Bits.equal own eager || QCheck.Test.fail_report "the late seed differs from the eager one")
+  && Bits.equal (Seed_core.initial_seed core) eager
+
+let qcheck_cases =
+  [
+    QCheck.Test.make ~name:"core seed built on first use equals the eager draw" ~count:200
+      QCheck.(
+        quad
+          (make ~print:Int64.to_string Gen.(oneof [ ui64; map Int64.neg ui64; map Int64.of_int int ]))
+          (int_range 1 5000) (int_range 1 64) (int_bound 400))
+      seed_built_late_matches_eager;
+  ]
+
 let test_core_adopts_received_seed () =
   let params = seed_params ~delta:16 () in
   (* Find an rng that keeps the node a non-leader at phase 1 (leader
@@ -376,3 +416,4 @@ let suite =
       ("spec counts owners", test_spec_counts_owners);
       ("spec owners helper", test_spec_owners_helper);
     ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_cases

@@ -72,6 +72,35 @@ let test_run_observer_sees_rounds () =
   in
   checki "observer called per round" (2 * params.Params.phase_len) !seen
 
+(* Words allocated so far, counted as the benchmark's meter does: an
+   n-sized array over 256 words goes straight to the major heap, which
+   [Gc.minor_words] alone would miss. *)
+let words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* The full LB stack on the lb-field configuration at 300 nodes: once the
+   nodes, the monitor and the engine's scratch exist, a round allocates
+   only for seeds built, messages sent and outputs emitted — not the
+   round record's four n-sized arrays. *)
+let test_lb_stack_steady_state () =
+  let n = 300 in
+  let side = sqrt (float_of_int n) in
+  let dual =
+    Geo.random_field ~rng:(Rng.of_int 11) ~n ~width:side ~height:side ~r:1.5 ~gray_g':0.5 ()
+  in
+  let params = Params.of_dual ~eps1:0.1 dual in
+  let senders = List.init (n / 100) (fun k -> 100 * k) in
+  let w0 = words () in
+  let o = Service.run ~dual ~params ~senders ~phases:2 ~seed:12 () in
+  let per_node_round =
+    (words () -. w0) /. float_of_int (n * o.Service.rounds_executed)
+  in
+  checki "both phases ran" (2 * params.Params.phase_len) o.Service.rounds_executed;
+  checkb
+    (Printf.sprintf "%.3f words per node-round, under 0.5" per_node_round)
+    true (per_node_round < 0.5)
+
 (* --- Service.one_shot --- *)
 
 let test_one_shot_completion () =
@@ -244,6 +273,7 @@ let suite =
       ("service.run matches manual pipeline", test_run_matches_manual_pipeline);
       ("service.run deterministic", test_run_deterministic);
       ("service.run observer", test_run_observer_sees_rounds);
+      ("LB stack steady state", test_lb_stack_steady_state);
       ("service.one_shot completion", test_one_shot_completion);
       ("service.one_shot isolated", test_one_shot_isolated_sender);
       ("service.first_reception", test_first_reception);
