@@ -54,79 +54,134 @@ let eps_arg =
     & opt float 0.1
     & info [ "eps" ] ~docv:"FLOAT" ~doc:"Error bound epsilon.")
 
-let topology_arg =
+(* Every bad input ends here: a one-line diagnostic and exit 2.  Flag
+   and spec parse errors reach exit 2 through [Cmd.eval_value] below. *)
+let bad_input msg =
+  Format.eprintf "localcast: %s@." msg;
+  exit 2
+
+(* Set-up calls range-check their arguments, so their Invalid_argument
+   (or Sys_error, for a file) is bad input.  Nothing else is wrapped: a
+   failure inside a simulation still exits 125 with its backtrace. *)
+let setup f = try f () with Invalid_argument msg | Sys_error msg -> bad_input msg
+
+(* A round, phase or trial count: a negative one is bad input. *)
+let count =
+  Arg.conv'
+    ( (fun s ->
+        Result.bind (Grammar.int s) (fun k ->
+            if k >= 0 then Ok k else Error (Printf.sprintf "%d is negative" k))),
+      Format.pp_print_int )
+
+let exits =
+  Cmd.Exit.
+    [ info 0 ~doc:"on success."; info 1 ~doc:"when a check fails.";
+      info 2 ~doc:"on bad input."; info internal_error ~doc:"on unexpected internal errors (bugs)." ]
+
+(* A flag choosing one entry of a name -> builder table.  It enumerates
+   the names, not the builders: [Arg.enum] compares values to print the
+   default in --help. *)
+let kind_arg long table default ~doc =
   Arg.(
     value
-    & opt (enum [ ("random", `Random); ("grid", `Grid); ("clique", `Clique);
-                  ("line", `Line); ("gray-cluster", `Gray) ])
-        `Random
-    & info [ "topology" ] ~docv:"KIND"
-        ~doc:"Topology: random, grid, clique, line or gray-cluster.")
+    & opt (enum (List.map (fun (name, _) -> (name, name)) table)) default
+    & info [ long ] ~docv:"KIND" ~doc)
 
-let scheduler_arg =
-  Arg.(
-    value
-    & opt (enum [ ("reliable-only", `Reliable); ("all-edges", `All);
-                  ("bernoulli", `Bernoulli);
-                  ("bernoulli-sparse", `BernoulliSparse);
-                  ("flicker", `Flicker) ])
-        `Bernoulli
-    & info [ "scheduler" ] ~docv:"KIND"
-        ~doc:
-          "Oblivious link scheduler: reliable-only, all-edges, bernoulli, \
-           bernoulli-sparse (same distribution as bernoulli, resolved in \
-           time proportional to the active set — the right choice for low \
-           --link-p sweeps on large fields) or flicker.")
+let topologies =
+  let rng = Prng.Rng.of_int in
+  [
+    ( "random",
+      fun seed n width r gray ->
+        Geo.random_field ~rng:(rng seed) ~n ~width ~height:width ~r
+          ~gray_g':gray () );
+    ( "grid",
+      fun seed n _ r gray ->
+        let side = max 1 (int_of_float (Float.round (sqrt (float_of_int n)))) in
+        Geo.grid ~rows:side ~cols:side ~spacing:0.9 ~r ~gray_g':gray
+          ~rng:(rng seed) () );
+    ("clique", fun _ n _ _ _ -> Geo.clique n);
+    ("line", fun _ n _ r _ -> Geo.line ~n ~spacing:0.9 ~r ());
+    ( "gray-cluster",
+      fun _ n _ r _ -> Geo.gray_cluster ~k:(max 1 (n - 2)) ~r:(Float.max r 1.41) () );
+  ]
 
-let link_p_arg =
-  Arg.(
-    value & opt float 0.5
-    & info [ "link-p" ] ~docv:"P"
-        ~doc:
-          "Per-round inclusion probability of each unreliable edge under the \
-           bernoulli and bernoulli-sparse schedulers (ignored by the \
-           others).")
+(* The dual graph, generated from the topology flags or --load'ed. *)
+let topology =
+  let kind =
+    kind_arg "topology" topologies "random"
+      ~doc:"Topology: random, grid, clique, line or gray-cluster."
+  in
+  let load =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "load" ] ~docv:"FILE"
+          ~doc:"Load the topology from a Dualgraph.Io file instead of generating it.")
+  in
+  let make kind seed n width r gray load =
+    setup (fun () ->
+        match load with
+        | Some filename -> Dualgraph.Io.load filename
+        | None -> List.assoc kind topologies seed n width r gray)
+  in
+  Term.(const make $ kind $ seed_arg $ n_arg $ width_arg $ r_arg $ gray_arg $ load)
+
+let schedulers =
+  [
+    ("reliable-only", fun ~seed:_ ~p:_ -> Sch.reliable_only);
+    ("all-edges", fun ~seed:_ ~p:_ -> Sch.all_edges);
+    ("bernoulli", Sch.bernoulli);
+    ("bernoulli-sparse", Sch.bernoulli_sparse);
+    ("flicker", fun ~seed:_ ~p:_ -> Sch.flicker ~period:16 ~duty:8);
+  ]
+
+(* The oblivious link scheduler for a seed.  Every subcommand's scheduler
+   comes through here, so --link-p is range-checked once for all. *)
+let scheduler =
+  let kind =
+    kind_arg "scheduler" schedulers "bernoulli"
+      ~doc:
+        "Oblivious link scheduler: reliable-only, all-edges, bernoulli, \
+         bernoulli-sparse (same distribution as bernoulli, resolved in \
+         time proportional to the active set — the right choice for low \
+         --link-p sweeps on large fields) or flicker."
+  in
+  let link_p =
+    Arg.(
+      value & opt float 0.5
+      & info [ "link-p" ] ~docv:"P"
+          ~doc:
+            "Per-round inclusion probability of each unreliable edge under the \
+             bernoulli and bernoulli-sparse schedulers (ignored by the \
+             others).")
+  in
+  let make kind p =
+    if not (p >= 0.0 && p <= 1.0) then
+      bad_input (Printf.sprintf "--link-p must be in [0, 1], got %g" p);
+    fun ~seed -> List.assoc kind schedulers ~seed ~p
+  in
+  Term.(const make $ kind $ link_p)
 
 let phases_arg =
   Arg.(
-    value & opt int 6
+    value & opt count 6
     & info [ "phases" ] ~docv:"INT" ~doc:"Number of LBAlg phases to simulate.")
 
-let load_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "load" ] ~docv:"FILE"
-        ~doc:"Load the topology from a Dualgraph.Io file instead of generating it.")
+(* A spec flag read by its module's parser, so a bad spec is a parse
+   error like any other bad flag value. *)
+let spec_arg ?(docv = "SPEC") parse print long ~doc =
+  Arg.(value & opt (some (conv' (parse, print))) None & info [ long ] ~docv ~doc)
 
-let make_topology ?load kind ~seed ~n ~width ~r ~gray =
-  match load with
-  | Some filename -> Dualgraph.Io.load filename
-  | None ->
-  let rng = Prng.Rng.of_int seed in
-  match kind with
-  | `Random ->
-      Geo.random_field ~rng ~n ~width ~height:width ~r ~gray_g':gray ()
-  | `Grid ->
-      let side = max 1 (int_of_float (Float.round (sqrt (float_of_int n)))) in
-      Geo.grid ~rows:side ~cols:side ~spacing:0.9 ~r ~gray_g':gray ~rng ()
-  | `Clique -> Geo.clique n
-  | `Line -> Geo.line ~n ~spacing:0.9 ~r ()
-  | `Gray -> Geo.gray_cluster ~k:(max 1 (n - 2)) ~r:(Float.max r 1.41) ()
+let reception_arg =
+  spec_arg Radiosim.Reception.of_spec (fun ppf m ->
+      Format.pp_print_string ppf (Radiosim.Reception.to_spec m))
+    "reception"
 
-(* Every subcommand's scheduler comes through here, so --link-p is
-   range-checked once for all of them. *)
-let make_scheduler kind ~seed ~p =
-  if not (p >= 0.0 && p <= 1.0) then begin
-    Format.eprintf "--link-p must be in [0, 1], got %g@." p;
-    exit 2
-  end;
-  match kind with
-  | `Reliable -> Sch.reliable_only
-  | `All -> Sch.all_edges
-  | `Bernoulli -> Sch.bernoulli ~seed ~p
-  | `BernoulliSparse -> Sch.bernoulli_sparse ~seed ~p
-  | `Flicker -> Sch.flicker ~period:16 ~duty:8
+let reception_of = function
+  | None -> Radiosim.Reception.dual_graph
+  | Some m ->
+      Format.printf "reception %a@." Radiosim.Reception.pp m;
+      m
 
 (* --- topo --- *)
 
@@ -143,8 +198,7 @@ let topo_cmd =
       & opt (some string) None
       & info [ "save" ] ~docv:"FILE" ~doc:"Write the topology to FILE (Dualgraph.Io format).")
   in
-  let run topology seed n width r gray load render degrees save =
-    let dual = make_topology ?load topology ~seed ~n ~width ~r ~gray in
+  let run dual render degrees save =
     Format.printf "%a@." Dual.pp dual;
     (match Dual.embedding dual with
     | Some _ ->
@@ -169,19 +223,19 @@ let topo_cmd =
     | None -> ()
   in
   Cmd.v
-    (Cmd.info "topo" ~doc:"Generate, describe, render or save a dual graph topology.")
+    (Cmd.info "topo" ~exits ~doc:"Generate, describe, render or save a dual graph topology.")
     Term.(
-      const run $ topology_arg $ seed_arg $ n_arg $ width_arg $ r_arg $ gray_arg
-      $ load_arg $ render_arg $ histogram_arg $ save_arg)
+      const run $ topology $ render_arg $ histogram_arg $ save_arg)
 
 (* --- seed --- *)
 
 let seed_cmd =
-  let run topology seed n width r gray eps load =
-    let dual = make_topology ?load topology ~seed ~n ~width ~r ~gray in
+  let run dual seed r eps =
     let n = Dual.n dual in
     Format.printf "%a@." Dual.pp dual;
-    let params = L.Params.make_seed ~eps ~delta:(Dual.delta dual) ~kappa:32 () in
+    let params =
+      setup (fun () -> L.Params.make_seed ~eps ~delta:(Dual.delta dual) ~kappa:32 ())
+    in
     Format.printf "%a@." L.Params.pp_seed params;
     let rng = Prng.Rng.of_int (seed + 1) in
     let nodes = L.Seed_alg.network params ~rng ~n in
@@ -206,10 +260,9 @@ let seed_cmd =
       report.L.Seed_spec.max_owners delta_bound report.L.Seed_spec.violation_count
   in
   Cmd.v
-    (Cmd.info "seed" ~doc:"Run the SeedAlg seed agreement protocol.")
+    (Cmd.info "seed" ~exits ~doc:"Run the SeedAlg seed agreement protocol.")
     Term.(
-      const run $ topology_arg $ seed_arg $ n_arg $ width_arg $ r_arg $ gray_arg
-      $ eps_arg $ load_arg)
+      const run $ topology $ seed_arg $ r_arg $ eps_arg)
 
 (* --- run --- *)
 
@@ -263,23 +316,19 @@ let run_cmd =
              docs/FAULTS.md).")
   in
   let reception_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "reception" ] ~docv:"SPEC"
-          ~doc:
-            "Reception model: 'dual' (the paper's dual-graph collision rule, \
-             the default) or 'sinr[:key=value,...]' — physical interference \
-             over the topology's embedding, with keys alpha, beta, noise, \
-             power, jam, near (e.g. 'sinr:alpha=4,beta=2').  See \
-             docs/RECEPTION.md.")
+    reception_arg
+      ~doc:
+        "Reception model: 'dual' (the paper's dual-graph collision rule, \
+         the default) or 'sinr[:key=value,...]' — physical interference \
+         over the topology's embedding, with keys alpha, beta, noise, \
+         power, jam, near (e.g. 'sinr:alpha=4,beta=2').  See \
+         docs/RECEPTION.md."
   in
-  let run topology scheduler link_p seed n width r gray eps phases senders tack
-      load events metrics_path audit faults_spec reception_spec =
-    let dual = make_topology ?load topology ~seed ~n ~width ~r ~gray in
+  let run dual scheduler seed eps phases senders tack events metrics_path audit
+      faults_spec reception =
     let n = Dual.n dual in
     Format.printf "%a@." Dual.pp dual;
-    let params = L.Params.of_dual ?tack_phases:tack ~eps1:eps dual in
+    let params = setup (fun () -> L.Params.of_dual ?tack_phases:tack ~eps1:eps dual) in
     Format.printf "%a@.@." L.Params.pp params;
     let rng = Prng.Rng.of_int (seed + 1) in
     let nodes = L.Lb_alg.network params ~rng ~n in
@@ -294,27 +343,14 @@ let run_cmd =
           | Ok plan ->
               Format.printf "%a@." Faults.Plan.pp plan;
               Some plan
-          | Error msg ->
-              Format.eprintf "localcast: bad --faults spec: %s@." msg;
-              exit 2)
+          | Error msg -> bad_input msg)
     in
     let revive =
       match faults with
       | None -> None
       | Some _ -> Some (L.Service.reviver ~params ~seed ())
     in
-    let reception =
-      match reception_spec with
-      | None -> Radiosim.Reception.dual_graph
-      | Some spec -> (
-          match Radiosim.Reception.of_spec spec with
-          | Ok m ->
-              Format.printf "reception %a@." Radiosim.Reception.pp m;
-              m
-          | Error msg ->
-              Format.eprintf "localcast: bad --reception spec: %s@." msg;
-              exit 2)
-    in
+    let reception = reception_of reception in
     let monitor = L.Lb_spec.monitor ?faults ~dual ~params ~env:envt () in
     (* Observability wiring: any of --events/--metrics/--audit needs the
        event stream, so they share one sink sized to the whole run. *)
@@ -344,8 +380,8 @@ let run_cmd =
       Stats.Experiment.time (fun () ->
           Radiosim.Engine.run ~observer:(L.Lb_spec.observe monitor) ?sink
             ?metrics:registry ?faults ?revive ~reception ~dual
-            ~scheduler:(make_scheduler scheduler ~seed ~p:link_p)
-            ~nodes ~env:(L.Lb_env.env envt) ~rounds ())
+            ~scheduler:(scheduler ~seed) ~nodes ~env:(L.Lb_env.env envt)
+            ~rounds ())
     in
     let report = L.Lb_spec.finish monitor in
     Format.printf "executed %d rounds in %.2fs@." executed secs;
@@ -393,11 +429,10 @@ let run_cmd =
     | _ -> ()
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run the LBAlg local broadcast service.")
+    (Cmd.info "run" ~exits ~doc:"Run the LBAlg local broadcast service.")
     Term.(
-      const run $ topology_arg $ scheduler_arg $ link_p_arg $ seed_arg $ n_arg
-      $ width_arg $ r_arg $ gray_arg $ eps_arg $ phases_arg $ senders_arg
-      $ tack_arg $ load_arg $ events_arg $ metrics_arg $ audit_arg
+      const run $ topology $ scheduler $ seed_arg $ eps_arg $ phases_arg
+      $ senders_arg $ tack_arg $ events_arg $ metrics_arg $ audit_arg
       $ faults_arg $ reception_arg)
 
 (* --- trace --- *)
@@ -407,7 +442,7 @@ let run_cmd =
 let scale_cmd =
   let rounds_arg =
     Arg.(
-      value & opt int 20
+      value & opt count 20
       & info [ "rounds" ] ~docv:"INT" ~doc:"Number of rounds to run.")
   in
   let tiles_arg =
@@ -425,37 +460,25 @@ let scale_cmd =
       & info [ "n"; "nodes" ] ~docv:"INT" ~doc:"Number of nodes.")
   in
   let scale_reception_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "reception" ] ~docv:"SPEC"
-          ~doc:
-            "Reception model: 'dual' (the default) or 'sinr[:key=value,...]' \
-             — physical interference over the field's embedding (e.g. \
-             'sinr:alpha=3,beta=1.2,noise=0.02').  The trace hash stays \
-             --tiles-invariant under either model.  See docs/RECEPTION.md.")
+    reception_arg
+      ~doc:
+        "Reception model: 'dual' (the default) or 'sinr[:key=value,...]' \
+         — physical interference over the field's embedding (e.g. \
+         'sinr:alpha=3,beta=1.2,noise=0.02').  The trace hash stays \
+         --tiles-invariant under either model.  See docs/RECEPTION.md."
   in
-  let run seed n rounds tiles reception_spec =
-    let reception =
-      match reception_spec with
-      | None -> Radiosim.Reception.dual_graph
-      | Some spec -> (
-          match Radiosim.Reception.of_spec spec with
-          | Ok m ->
-              Format.printf "reception %a@." Radiosim.Reception.pp m;
-              m
-          | Error msg ->
-              Format.eprintf "localcast: bad --reception spec: %s@." msg;
-              exit 2)
-    in
+  let run seed n rounds tiles reception =
+    let reception = reception_of reception in
+    if tiles < 1 then bad_input "--tiles must be >= 1";
     (* Constant-density field: one node per unit square, r = 1, so Δ is
        independent of n and cost flatness is visible directly. *)
     let side = sqrt (float_of_int n) in
     let t0 = Unix.gettimeofday () in
     let dual =
-      Geo.random_field
-        ~rng:(Prng.Rng.of_int seed)
-        ~n ~width:side ~height:side ~r:1.0 ~gray_g':0.5 ()
+      setup (fun () ->
+          Geo.random_field
+            ~rng:(Prng.Rng.of_int seed)
+            ~n ~width:side ~height:side ~r:1.0 ~gray_g':0.5 ())
     in
     let t_topo = Unix.gettimeofday () -. t0 in
     let node_rng = Prng.Rng.of_int (seed + 1) in
@@ -531,7 +554,7 @@ let scale_cmd =
     Format.printf "trace-hash: %016x@." (!hash land max_int)
   in
   Cmd.v
-    (Cmd.info "scale-smoke"
+    (Cmd.info "scale-smoke" ~exits
        ~doc:
          "Run the tiled engine on a constant-density field and print \
           wall-clock, resident memory and an order-sensitive trace hash.  \
@@ -544,7 +567,7 @@ let scale_cmd =
 let trace_cmd =
   let rounds_arg =
     Arg.(
-      value & opt int 60
+      value & opt count 60
       & info [ "rounds" ] ~docv:"INT" ~doc:"Number of rounds to trace.")
   in
   let from_arg =
@@ -558,10 +581,9 @@ let trace_cmd =
       & opt (some int) None
       & info [ "node" ] ~docv:"ID" ~doc:"Only print events involving this node.")
   in
-  let run topology seed n width r gray eps load rounds from node_filter =
-    let dual = make_topology ?load topology ~seed ~n ~width ~r ~gray in
+  let run dual seed eps rounds from node_filter =
     let n = Dual.n dual in
-    let params = L.Params.of_dual ~eps1:eps ~tack_phases:2 dual in
+    let params = setup (fun () -> L.Params.of_dual ~eps1:eps ~tack_phases:2 dual) in
     Format.printf "%a@." Dual.pp dual;
     Format.printf "phase structure: Ts=%d Tprog=%d phase_len=%d@.@."
       params.L.Params.ts params.L.Params.tprog params.L.Params.phase_len;
@@ -618,20 +640,19 @@ let trace_cmd =
       trace
   in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info "trace" ~exits
        ~doc:
          "Dump a round-by-round event trace of an LBAlg run (transmissions, \
           receptions, outputs).")
     Term.(
-      const run $ topology_arg $ seed_arg $ n_arg $ width_arg $ r_arg $ gray_arg
-      $ eps_arg $ load_arg $ rounds_arg $ from_arg $ node_filter_arg)
+      const run $ topology $ seed_arg $ eps_arg $ rounds_arg $ from_arg
+      $ node_filter_arg)
 
 (* --- verify --- *)
 
 let verify_cmd =
-  let run topology scheduler link_p seed n width r gray eps load =
-    let dual = make_topology ?load topology ~seed ~n ~width ~r ~gray in
-    let params = L.Params.of_dual ~eps1:eps ~tack_phases:3 dual in
+  let run dual scheduler seed eps =
+    let params = setup (fun () -> L.Params.of_dual ~eps1:eps ~tack_phases:3 dual) in
     Format.printf "%a@." Dual.pp dual;
     let failures = ref [] in
     let fail fmt = Format.kasprintf (fun s -> failures := s :: !failures) fmt in
@@ -640,9 +661,8 @@ let verify_cmd =
       List.filteri (fun i _ -> i mod 4 = 0) (List.init (Dual.n dual) Fun.id)
     in
     let outcome =
-      L.Service.run
-        ~scheduler:(make_scheduler scheduler ~seed ~p:link_p)
-        ~dual ~params ~senders ~phases:6 ~seed ()
+      L.Service.run ~scheduler:(scheduler ~seed) ~dual ~params ~senders
+        ~phases:6 ~seed ()
     in
     let report = outcome.L.Service.report in
     if report.L.Lb_spec.validity_violations > 0 then
@@ -666,9 +686,7 @@ let verify_cmd =
     let nodes = L.Seed_alg.network seed_params ~rng ~n:(Dual.n dual) in
     let trace, observer = Radiosim.Trace.recorder () in
     let (_ : int) =
-      Radiosim.Engine.run ~observer ~dual
-        ~scheduler:(make_scheduler scheduler ~seed ~p:link_p)
-        ~nodes
+      Radiosim.Engine.run ~observer ~dual ~scheduler:(scheduler ~seed) ~nodes
         ~env:(Radiosim.Env.null ~name:"verify" ())
         ~rounds:(L.Seed_alg.duration seed_params)
         ()
@@ -695,20 +713,22 @@ let verify_cmd =
         exit 1
   in
   Cmd.v
-    (Cmd.info "verify"
+    (Cmd.info "verify" ~exits
        ~doc:
          "Run the service on a topology and exit non-zero unless every \
           specification check passes (CI-style).")
     Term.(
-      const run $ topology_arg $ scheduler_arg $ link_p_arg $ seed_arg $ n_arg
-      $ width_arg $ r_arg $ gray_arg $ eps_arg $ load_arg)
+      const run $ topology $ scheduler $ seed_arg $ eps_arg)
 
 (* --- serve: the open-loop multi-message serving engine --- *)
 
 let serve_cmd =
   let workload_arg =
     Arg.(
-      value & opt string "poisson:0.002"
+      value
+      & opt
+          (conv' (Macapps.Workload.parse, Macapps.Workload.pp_process))
+          (Macapps.Workload.Poisson { rate = 0.002 })
       & info [ "workload" ] ~docv:"SPEC"
           ~doc:
             "Arrival process: poisson:RATE, bursty:RATE:ON_MEAN:OFF_MEAN, \
@@ -719,14 +739,17 @@ let serve_cmd =
   in
   let policy_arg =
     Arg.(
-      value & opt string "drop-tail"
+      value
+      & opt
+          (conv' (Macapps.Serve.parse_policy, Macapps.Serve.pp_policy))
+          Macapps.Serve.Drop_tail
       & info [ "policy" ] ~docv:"POLICY"
           ~doc:
             "Backpressure policy: drop-tail, drop-newest or source-throttle.")
   in
   let rounds_arg =
     Arg.(
-      value & opt int 40_000
+      value & opt count 40_000
       & info [ "rounds" ] ~docv:"INT" ~doc:"Number of rounds to serve.")
   in
   let queue_cap_arg =
@@ -746,33 +769,15 @@ let serve_cmd =
       & info [ "ttl" ] ~docv:"INT"
           ~doc:"Rounds a message may live before it is expired.")
   in
-  let run topology scheduler link_p seed n width r gray eps load workload policy
-      rounds queue_cap max_inflight ttl =
-    let dual = make_topology ?load topology ~seed ~n ~width ~r ~gray in
+  let run dual scheduler seed eps process policy rounds queue_cap max_inflight
+      ttl =
     let n = Dual.n dual in
     Format.printf "%a@." Dual.pp dual;
-    let process =
-      match Macapps.Workload.parse workload with
-      | Ok p -> p
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          exit 2
-    in
-    let policy =
-      match Macapps.Serve.parse_policy policy with
-      | Ok p -> p
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          exit 2
-    in
-    let params = L.Params.of_dual ~eps1:eps ~tack_phases:2 dual in
-    let config, wl =
-      try
-        ( Macapps.Serve.config ~queue_cap ~max_inflight ~ttl ~policy (),
-          Macapps.Workload.create ~process ~n ~seed () )
-      with Invalid_argument msg ->
-        Format.eprintf "serve: %s@." msg;
-        exit 2
+    let params, config, wl =
+      setup (fun () ->
+          ( L.Params.of_dual ~eps1:eps ~tack_phases:2 dual,
+            Macapps.Serve.config ~queue_cap ~max_inflight ~ttl ~policy (),
+            Macapps.Workload.create ~process ~n ~seed () ))
     in
     Format.printf
       "serving %a under %a for %d rounds (f_ack = %d rounds)@."
@@ -781,9 +786,7 @@ let serve_cmd =
     let report =
       Macapps.Serve.run ~config ~workload:wl ~params
         ~rng:(Prng.Rng.of_int (seed + 1))
-        ~dual
-        ~scheduler:(make_scheduler scheduler ~seed ~p:link_p)
-        ~rounds ()
+        ~dual ~scheduler:(scheduler ~seed) ~rounds ()
     in
     Format.printf "%a@." Macapps.Serve.pp_report report;
     (* CI-style gating: a serving run must conserve messages exactly and
@@ -802,7 +805,7 @@ let serve_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:
          "Serve an open-loop multi-message workload over the abstract MAC \
           layer and print the serving report (admission, completion, \
@@ -810,8 +813,7 @@ let serve_cmd =
           non-zero if the conservation audit fails or nothing completes \
           (CI-style).")
     Term.(
-      const run $ topology_arg $ scheduler_arg $ link_p_arg $ seed_arg $ n_arg
-      $ width_arg $ r_arg $ gray_arg $ eps_arg $ load_arg $ workload_arg
+      const run $ topology $ scheduler $ seed_arg $ eps_arg $ workload_arg
       $ policy_arg $ rounds_arg $ queue_cap_arg $ inflight_arg $ ttl_arg)
 
 (* --- tournament --- *)
@@ -822,7 +824,7 @@ let tournament_cmd =
   let module Rank = Stats.Rank in
   let trials_arg =
     Arg.(
-      value & opt int 12
+      value & opt count 12
       & info [ "trials" ] ~docv:"INT"
           ~doc:"Paired trials per arm (same seeds across arms).")
   in
@@ -838,16 +840,21 @@ let tournament_cmd =
              cells protect it); a crashed sender usually zeroes lbalg's \
              coverage.")
   in
+  let label = function T.Strategy t -> S.to_spec t | T.Lbalg -> "lbalg" in
   let arms_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "arms" ] ~docv:"LIST"
-          ~doc:
-            "Comma-separated arms: strategy specs (fixed:P, decay:L, \
-             decay-restart:L, sawtooth:L, backoff:K, slotted:N) and/or \
-             lbalg.  Default: the full zoo sized for the topology, plus \
-             lbalg.")
+    let arm spec =
+      if String.lowercase_ascii (String.trim spec) = "lbalg" then Ok T.Lbalg
+      else Result.map (fun t -> T.Strategy t) (S.parse spec)
+    in
+    spec_arg (Grammar.list arm)
+      (fun ppf arms ->
+        Format.pp_print_string ppf (String.concat "," (List.map label arms)))
+      "arms" ~docv:"LIST"
+      ~doc:
+        "Comma-separated arms: strategy specs (fixed:P, decay:L, \
+         decay-restart:L, sawtooth:L, backoff:K, slotted:N) and/or \
+         lbalg.  Default: the full zoo sized for the topology, plus \
+         lbalg."
   in
   let adaptive_arg =
     Arg.(
@@ -858,16 +865,11 @@ let tournament_cmd =
              scheduler (LBAlg is skipped: the paper's guarantees are \
              oblivious-only).")
   in
-  let run topology scheduler link_p seed n width r gray load trials fault arms
-      adaptive =
-    let dual = make_topology ?load topology ~seed ~n ~width ~r ~gray in
+  let run dual scheduler seed trials fault arms adaptive =
     let n = Dual.n dual in
     Format.printf "%a@." Dual.pp dual;
-    let adversary =
-      if adaptive then T.Adaptive_jam
-      else T.Oblivious (fun ~seed -> make_scheduler scheduler ~seed ~p:link_p)
-    in
-    let base = T.arena ~adversary ~dual () in
+    let adversary = if adaptive then T.Adaptive_jam else T.Oblivious scheduler in
+    let base = setup (fun () -> T.arena ~adversary ~dual ()) in
     let arena =
       match fault with
       | None -> base
@@ -877,30 +879,13 @@ let tournament_cmd =
               Faults.Plan.of_spec ~seed ~n ~rounds:base.T.horizon spec
             with
             | Ok plan -> plan
-            | Error e ->
-                Format.eprintf "bad --fault spec: %s@." e;
-                exit 2
+            | Error e -> bad_input e
           in
           (* Surface a bad grammar before the trial loop. *)
           ignore (plan_of ~seed);
           { base with T.plan_of = Some plan_of }
     in
-    let arms =
-      match arms with
-      | None -> T.arms ~dual
-      | Some list ->
-          List.map
-            (fun tok ->
-              let tok = String.trim tok in
-              if String.lowercase_ascii tok = "lbalg" then T.Lbalg
-              else
-                match S.parse tok with
-                | Ok t -> T.Strategy t
-                | Error e ->
-                    Format.eprintf "bad --arms entry: %s@." e;
-                    exit 2)
-            (String.split_on_char ',' list)
-    in
+    let arms = match arms with None -> T.arms ~dual | Some arms -> arms in
     Format.printf
       "tournament: %d arm%s x %d paired trial%s, horizon %d rounds, budget \
        %d, %s adversary%s@."
@@ -911,9 +896,6 @@ let tournament_cmd =
       arena.T.horizon arena.T.budget
       (if adaptive then "adaptive-jam" else "oblivious")
       (match fault with None -> "" | Some s -> ", faults " ^ s);
-    let label arm =
-      match arm with T.Strategy t -> S.to_spec t | T.Lbalg -> "lbalg"
-    in
     let cells =
       List.filter_map
         (fun arm ->
@@ -965,7 +947,7 @@ let tournament_cmd =
     metric "transmission cost" ~descending:false (fun s -> s.T.cost)
   in
   Cmd.v
-    (Cmd.info "tournament"
+    (Cmd.info "tournament" ~exits
        ~doc:
          "Race back-off strategies (and LBAlg) on one topology under a \
           chosen adversary and fault plan: paired-seed trials, one ranked \
@@ -974,15 +956,19 @@ let tournament_cmd =
           strategy x adversary x fault x topology matrix is experiment E25 \
           (bench/main.exe --only e25).")
     Term.(
-      const run $ topology_arg $ scheduler_arg $ link_p_arg $ seed_arg $ n_arg
-      $ width_arg $ r_arg $ gray_arg $ load_arg $ trials_arg $ fault_arg
+      const run $ topology $ scheduler $ seed_arg $ trials_arg $ fault_arg
       $ arms_arg $ adaptive_arg)
 
 let () =
   let doc = "Local broadcast layer for unreliable (dual graph) radio networks" in
+  let cmd =
+    Cmd.group
+      (Cmd.info "localcast" ~doc ~exits)
+      [ topo_cmd; seed_cmd; run_cmd; trace_cmd; verify_cmd;
+        scale_cmd; serve_cmd; tournament_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group
-          (Cmd.info "localcast" ~doc)
-          [ topo_cmd; seed_cmd; run_cmd; trace_cmd; verify_cmd;
-            scale_cmd; serve_cmd; tournament_cmd ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 2
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -36,12 +36,8 @@ let validate = function
   | Slotted { slots } ->
       if slots < 1 then Error "slotted: slots must be >= 1" else Ok ()
 
-let float_to_string p =
-  let s = Printf.sprintf "%g" p in
-  if float_of_string s = p then s else Printf.sprintf "%.17g" p
-
 let to_spec = function
-  | Fixed { p } -> "fixed:" ^ float_to_string p
+  | Fixed { p } -> "fixed:" ^ Grammar.float_to_string p
   | Decay { levels } -> "decay:" ^ string_of_int levels
   | Decay_restart { levels } -> "decay-restart:" ^ string_of_int levels
   | Sawtooth { levels } -> "sawtooth:" ^ string_of_int levels
@@ -58,29 +54,24 @@ let name = function
 
 let pp ppf t = Format.pp_print_string ppf (to_spec t)
 
-let parse spec =
-  let fail () =
-    Error
-      (Printf.sprintf
-         "bad strategy %S (expected fixed:P | decay:L | decay-restart:L | \
-          sawtooth:L | backoff:K | slotted:N)"
-         spec)
+let parse =
+  let family make read =
+    Grammar.args (fun a ->
+        Result.bind (read a) (fun v ->
+            let t = make v in
+            Result.map (fun () -> t) (validate t)))
   in
-  let checked t = match validate t with Ok () -> Ok t | Error e -> Error e in
-  match String.split_on_char ':' (String.lowercase_ascii spec) with
-  | [ "fixed"; arg ] -> (
-      match float_of_string_opt arg with
-      | Some p -> checked (Fixed { p })
-      | None -> fail ())
-  | [ family; arg ] -> (
-      match (family, int_of_string_opt arg) with
-      | "decay", Some levels -> checked (Decay { levels })
-      | "decay-restart", Some levels -> checked (Decay_restart { levels })
-      | "sawtooth", Some levels -> checked (Sawtooth { levels })
-      | "backoff", Some max_exp -> checked (Backoff { max_exp })
-      | "slotted", Some slots -> checked (Slotted { slots })
-      | _ -> fail ())
-  | _ -> fail ()
+  Grammar.parse "strategy"
+    (Grammar.tags
+       [
+         ("fixed", family (fun p -> Fixed { p }) Grammar.float);
+         ("decay", family (fun levels -> Decay { levels }) Grammar.int);
+         ( "decay-restart",
+           family (fun levels -> Decay_restart { levels }) Grammar.int );
+         ("sawtooth", family (fun levels -> Sawtooth { levels }) Grammar.int);
+         ("backoff", family (fun max_exp -> Backoff { max_exp }) Grammar.int);
+         ("slotted", family (fun slots -> Slotted { slots }) Grammar.int);
+       ])
 
 let levels_for ~delta' =
   let rec bits k = if 1 lsl k >= delta' then k else bits (k + 1) in

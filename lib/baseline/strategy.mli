@@ -68,7 +68,8 @@ val validate : t -> (unit, string) result
     probability [2^-k] stays an exact OCaml int power), [slots >= 1]. *)
 
 val parse : string -> (t, string) result
-(** Spec grammar, one strategy per string (case-insensitive):
+(** Spec grammar, one strategy per string, under the shared rules of
+    {!Grammar} (P a number, the others integers):
 
     {v
     fixed:P | decay:L | decay-restart:L | sawtooth:L

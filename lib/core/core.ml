@@ -4,6 +4,7 @@
     depend on a single name.  See DESIGN.md for the library inventory and
     README.md for a guided tour. *)
 
+module Grammar = Grammar
 module Prng = Prng
 module Dualgraph = Dualgraph
 module Radiosim = Radiosim

@@ -123,148 +123,91 @@ let make ~n ?(crashes = []) ?(restarts = []) ?(jams = []) () =
 (* Per-node crash draw: an independent SplitMix stream keyed by
    (seed, node), so the plan is identical no matter how trials are split
    across domains.  The geometric draw inverts the CDF of the per-round
-   hazard: still alive at round r with probability (1-rate)^r. *)
-let churn ~seed ~n ~rounds ~rate ?downtime ?(protect = []) () =
-  if rate < 0.0 || rate >= 1.0 then
+   hazard: still alive at round r with probability (1-rate)^r.  Returns
+   the (node, round) crash and restart lists in ascending node order. *)
+let churn_draws ~seed ~n ~rounds ~rate ?downtime ~protect () =
+  if not (rate >= 0.0 && rate < 1.0) then
     invalid_arg "Faults.Plan.churn: rate must be in [0, 1)";
   (match downtime with
   | Some d when d <= 0 -> invalid_arg "Faults.Plan.churn: downtime must be > 0"
   | _ -> ());
-  if rate = 0.0 then empty ~n
-  else begin
-    let crash = Array.make n max_int and restart = Array.make n max_int in
+  let crashes = ref [] and restarts = ref [] in
+  if rate > 0.0 then begin
     let log_keep = log1p (-.rate) in
-    for v = 0 to n - 1 do
+    for v = n - 1 downto 0 do
       if not (List.mem v protect) then begin
         let h = Prng.Rng.node_hash ~seed ~node:v ~round:0 in
         let u = float_of_int h /. 9007199254740992.0 in
         (* first round >= 1 with a crash; u = 0 maps to round 1 *)
         let gap = floor (log1p (-.u) /. log_keep) in
         if gap < float_of_int (rounds - 1) then begin
-          crash.(v) <- 1 + int_of_float gap;
-          match downtime with
-          | Some d -> restart.(v) <- crash.(v) + d
-          | None -> ()
+          let crash = 1 + int_of_float gap in
+          crashes := (v, crash) :: !crashes;
+          Option.iter (fun d -> restarts := (v, crash + d) :: !restarts) downtime
         end
       end
-    done;
-    build ~n ~crash ~restart ~jams:[]
-  end
+    done
+  end;
+  (!crashes, !restarts)
 
-let crash_round_arr t v =
-  if t.crash.(v) = max_int then None else Some t.crash.(v)
+let churn ~seed ~n ~rounds ~rate ?downtime ?(protect = []) () =
+  let crashes, restarts = churn_draws ~seed ~n ~rounds ~rate ?downtime ~protect () in
+  make ~n ~crashes ~restarts ()
 
-let restart_round_arr t v =
-  if t.restart.(v) = max_int then None else Some t.restart.(v)
-
-let of_spec ~seed ~n ~rounds spec =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let int_of s = int_of_string_opt (String.trim s) in
-  let clauses =
-    String.split_on_char ';' spec
-    |> List.map String.trim
-    |> List.filter (fun c -> c <> "")
+let of_spec ~seed ~n ~rounds =
+  let ( let* ) = Result.bind in
+  let kind tag read make = (tag, Grammar.args (fun a -> Result.map make (read a))) in
+  let node_at = Grammar.(pair '@' int int) in
+  let rate_downtime a =
+    if String.contains a ',' then
+      Result.map (fun (r, d) -> (r, Some d)) Grammar.(pair ',' float int a)
+    else Result.map (fun r -> (r, None)) (Grammar.float a)
   in
-  let rec parse clauses crashes restarts jams churn_clause =
-    match clauses with
-    | [] -> Ok (crashes, restarts, jams, churn_clause)
-    | clause :: rest -> (
-        match String.index_opt clause ':' with
-        | None -> fail "clause %S: expected KIND:ARGS" clause
-        | Some i -> (
-            let kind = String.trim (String.sub clause 0 i) in
-            let args =
-              String.sub clause (i + 1) (String.length clause - i - 1)
-            in
-            let node_at () =
-              match String.split_on_char '@' args with
-              | [ v; r ] -> (
-                  match (int_of v, int_of r) with
-                  | Some v, Some r -> Ok (v, r)
-                  | _ -> fail "clause %S: expected NODE@ROUND" clause)
-              | _ -> fail "clause %S: expected NODE@ROUND" clause
-            in
-            match kind with
-            | "crash" -> (
-                match node_at () with
-                | Ok c -> parse rest (c :: crashes) restarts jams churn_clause
-                | Error e -> Error e)
-            | "restart" -> (
-                match node_at () with
-                | Ok r -> parse rest crashes (r :: restarts) jams churn_clause
-                | Error e -> Error e)
-            | "jam" -> (
-                match String.split_on_char '@' args with
-                | [ v; window ] -> (
-                    match (int_of v, String.split_on_char '-' window) with
-                    | Some v, [ f; u ] -> (
-                        match (int_of f, int_of u) with
-                        | Some f, Some u ->
-                            parse rest crashes restarts ((v, f, u) :: jams)
-                              churn_clause
-                        | _ -> fail "clause %S: expected NODE@FROM-UNTIL" clause)
-                    | _ -> fail "clause %S: expected NODE@FROM-UNTIL" clause)
-                | _ -> fail "clause %S: expected NODE@FROM-UNTIL" clause)
-            | "churn" -> (
-                if churn_clause <> None then
-                  fail "clause %S: duplicate churn clause" clause
-                else
-                  match String.split_on_char ',' args with
-                  | [ rate ] -> (
-                      match float_of_string_opt (String.trim rate) with
-                      | Some rate when rate >= 0.0 && rate < 1.0 ->
-                          parse rest crashes restarts jams (Some (rate, None))
-                      | _ -> fail "clause %S: expected RATE in [0,1)" clause)
-                  | [ rate; down ] -> (
-                      match
-                        (float_of_string_opt (String.trim rate), int_of down)
-                      with
-                      | Some rate, Some d when rate >= 0.0 && rate < 1.0 && d > 0
-                        ->
-                          parse rest crashes restarts jams (Some (rate, Some d))
-                      | _ -> fail "clause %S: expected RATE[,DOWNTIME]" clause)
-                  | _ -> fail "clause %S: expected RATE[,DOWNTIME]" clause)
-            | _ -> fail "clause %S: unknown kind %S" clause kind))
+  let clause =
+    Grammar.tags
+      [
+        kind "crash" node_at (fun c -> `Crash c);
+        kind "restart" node_at (fun r -> `Restart r);
+        kind "jam"
+          Grammar.(pair '@' int (pair '-' int int))
+          (fun (v, (f, u)) -> `Jam (v, f, u));
+        kind "churn" rate_downtime (fun c -> `Churn c);
+      ]
   in
-  match parse clauses [] [] [] None with
-  | Error e -> Error e
-  | Ok (crashes, restarts, jams, churn_clause) -> (
-      try
-        let base =
-          match churn_clause with
-          | None -> empty ~n
-          | Some (rate, downtime) ->
-              (* explicit crash clauses take precedence over churn draws *)
-              let protect = List.map fst crashes in
-              churn ~seed ~n ~rounds ~rate ?downtime ~protect ()
-        in
-        let crashes =
-          List.fold_left
-            (fun acc v ->
-              match crash_round_arr base v with
-              | Some r -> (v, r) :: acc
-              | None -> acc)
-            crashes
-            (List.init n (fun v -> v))
-        and restarts =
-          List.fold_left
-            (fun acc v ->
-              match restart_round_arr base v with
-              | Some r -> (v, r) :: acc
-              | None -> acc)
-            restarts
-            (List.init n (fun v -> v))
-        in
-        Ok (make ~n ~crashes ~restarts ~jams ())
-      with Invalid_argument msg -> Error msg)
+  Grammar.parse "faults" (fun spec ->
+      let* clauses =
+        Grammar.list ~sep:';'
+          (fun c -> if String.trim c = "" then Ok `Blank else clause c)
+          spec
+      in
+      let pick f = List.filter_map f clauses in
+      let crashes = pick (function `Crash c -> Some c | _ -> None)
+      and restarts = pick (function `Restart r -> Some r | _ -> None)
+      and jams = pick (function `Jam j -> Some j | _ -> None) in
+      match pick (function `Churn c -> Some c | _ -> None) with
+      | _ :: _ :: _ -> Error "more than one churn clause"
+      | churn -> (
+          try
+            (* explicit crash clauses take precedence over churn draws *)
+            let churned, revived =
+              match churn with
+              | [] -> ([], [])
+              | (rate, downtime) :: _ ->
+                  churn_draws ~seed ~n ~rounds ~rate ?downtime
+                    ~protect:(List.map fst crashes) ()
+            in
+            Ok
+              (make ~n ~crashes:(crashes @ churned)
+                 ~restarts:(restarts @ revived) ~jams ())
+          with Invalid_argument msg -> Error msg))
 
 let crash_round t v =
   if v < 0 || v >= t.n then invalid_arg "Faults.Plan.crash_round";
-  crash_round_arr t v
+  if t.crash.(v) = max_int then None else Some t.crash.(v)
 
 let restart_round t v =
   if v < 0 || v >= t.n then invalid_arg "Faults.Plan.restart_round";
-  restart_round_arr t v
+  if t.restart.(v) = max_int then None else Some t.restart.(v)
 
 let alive t ~node ~round = not (t.crash.(node) <= round && round < t.restart.(node))
 

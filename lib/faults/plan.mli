@@ -77,11 +77,15 @@ val churn :
 
     The per-node streams are derived as [mix(seed · A + node · B)], never
     from a shared sequential generator, so the plan is independent of
-    iteration order and stable under any trial-parallelism split. *)
+    iteration order and stable under any trial-parallelism split.
+
+    @raise Invalid_argument unless [0 <= rate < 1] (NaN included) and
+    [downtime > 0]. *)
 
 val of_spec :
   seed:int -> n:int -> rounds:int -> string -> (t, string) result
-(** [of_spec ~seed ~n ~rounds spec] parses the CLI fault grammar:
+(** [of_spec ~seed ~n ~rounds spec] parses the CLI fault grammar, under
+    the shared rules of {!Grammar} (RATE a number, the others integers):
 
     {v
     SPEC    := clause (';' clause)*
@@ -89,13 +93,15 @@ val of_spec :
              | 'restart:' NODE '@' ROUND
              | 'jam:'     NODE '@' FROM '-' UNTIL
              | 'churn:'   RATE [',' DOWNTIME]
+             | (blank)
     v}
 
     e.g. ["crash:3@10;restart:3@40;jam:7@0-25"] or ["churn:0.002,120"].
-    A [churn] clause derives crash/restart rounds from [seed] (see
-    {!churn}) for every node without an explicit [crash] clause.
-    Whitespace around clauses is ignored.  Errors report the offending
-    clause. *)
+    At most one [churn] clause; it derives crash/restart rounds from
+    [seed] (see {!churn}) for every node without an explicit [crash]
+    clause.  The clauses then build the plan through {!make} (and
+    {!churn}'s checks), whose [Invalid_argument] is returned as
+    [Error]. *)
 
 (** {1 Queries} *)
 

@@ -7,15 +7,12 @@ let policy_to_string = function
 
 let pp_policy ppf p = Format.pp_print_string ppf (policy_to_string p)
 
-let parse_policy s =
-  match String.lowercase_ascii (String.trim s) with
-  | "drop-tail" -> Ok Drop_tail
-  | "drop-newest" -> Ok Drop_newest
-  | "source-throttle" -> Ok Source_throttle
-  | _ ->
-      Error
-        (Printf.sprintf
-           "serve: %S is not drop-tail | drop-newest | source-throttle" s)
+let parse_policy =
+  Grammar.parse "policy"
+    (Grammar.tags
+       (List.map
+          (fun p -> (policy_to_string p, Grammar.bare p))
+          [ Drop_tail; Drop_newest; Source_throttle ]))
 
 type config = {
   queue_cap : int;

@@ -45,7 +45,8 @@ val pp_policy : Format.formatter -> policy -> unit
 val policy_to_string : policy -> string
 
 val parse_policy : string -> (policy, string) result
-(** ["drop-tail"], ["drop-newest"], ["source-throttle"]. *)
+(** ["drop-tail"], ["drop-newest"] or ["source-throttle"], under the
+    shared rules of {!Grammar}; {!policy_to_string} is the inverse. *)
 
 type config = {
   queue_cap : int;  (** per-node relay queue bound (≥ 1) *)

@@ -4,12 +4,16 @@ type process =
   | Hotspot of { rate : float; hot_fraction : float; hot_share : float }
   | Batch of { sources : int list }
 
-let pp_process ppf = function
-  | Poisson { rate } -> Format.fprintf ppf "poisson:%g" rate
+let pp_process ppf =
+  let num = Grammar.float_to_string in
+  function
+  | Poisson { rate } -> Format.fprintf ppf "poisson:%s" (num rate)
   | Bursty { rate; on_mean; off_mean } ->
-      Format.fprintf ppf "bursty:%g:%g:%g" rate on_mean off_mean
+      Format.fprintf ppf "bursty:%s:%s:%s" (num rate) (num on_mean)
+        (num off_mean)
   | Hotspot { rate; hot_fraction; hot_share } ->
-      Format.fprintf ppf "hotspot:%g:%g:%g" rate hot_fraction hot_share
+      Format.fprintf ppf "hotspot:%s:%s:%s" (num rate) (num hot_fraction)
+        (num hot_share)
   | Batch { sources } ->
       Format.fprintf ppf "batch:%s"
         (String.concat "," (List.map string_of_int sources))
@@ -39,44 +43,31 @@ let process_error = function
       Some "batch sources must be >= 0"
   | _ -> None
 
-let parse s =
-  let num tok =
-    match float_of_string_opt tok with
-    | Some v when Float.is_finite v -> Ok v
-    | _ -> Error (Printf.sprintf "workload: bad number %S" tok)
-  in
-  let ( let* ) r f = Result.bind r f in
+let parse =
   let validated p =
-    match process_error p with
-    | None -> Ok p
-    | Some msg -> Error ("workload: " ^ msg)
+    match process_error p with None -> Ok p | Some msg -> Error msg
   in
-  match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
-  | [ "poisson"; r ] ->
-      let* rate = num r in
-      validated (Poisson { rate })
-  | [ "bursty"; r; on; off ] ->
-      let* rate = num r in
-      let* on_mean = num on in
-      let* off_mean = num off in
-      validated (Bursty { rate; on_mean; off_mean })
-  | [ "hotspot"; r; f; sh ] ->
-      let* rate = num r in
-      let* hot_fraction = num f in
-      let* hot_share = num sh in
-      validated (Hotspot { rate; hot_fraction; hot_share })
-  | [ "batch"; list ] -> (
-      match List.map int_of_string_opt (String.split_on_char ',' list) with
-      | sources when List.mem None sources ->
-          Error (Printf.sprintf "workload: bad batch sources %S" list)
-      | sources -> validated (Batch { sources = List.filter_map Fun.id sources }))
-  | _ ->
-      Error
-        (Printf.sprintf
-           "workload: %S does not match poisson:RATE | \
-            bursty:RATE:ON_MEAN:OFF_MEAN | hotspot:RATE:HOT_FRACTION:HOT_SHARE \
-            | batch:S1,S2,..."
-           s)
+  (* [k] ':'-separated numbers, handed to [make] as an array *)
+  let numbers k make =
+    Grammar.args (fun a ->
+        Result.bind (Grammar.list ~sep:':' Grammar.float a) (fun xs ->
+            if List.length xs = k then validated (make (Array.of_list xs))
+            else Error (Printf.sprintf "expected %d ':'-separated numbers" k)))
+  in
+  Grammar.parse "workload"
+    (Grammar.tags
+       [
+         ("poisson", numbers 1 (fun x -> Poisson { rate = x.(0) }));
+         ( "bursty",
+           numbers 3 (fun x -> Bursty { rate = x.(0); on_mean = x.(1); off_mean = x.(2) }) );
+         ( "hotspot",
+           numbers 3 (fun x ->
+               Hotspot { rate = x.(0); hot_fraction = x.(1); hot_share = x.(2) }) );
+         ( "batch",
+           Grammar.args (fun a ->
+               Result.bind (Grammar.list Grammar.int a) (fun sources ->
+                   validated (Batch { sources }))) );
+       ])
 
 (* --- the draw substrate ---
 

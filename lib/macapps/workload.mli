@@ -46,15 +46,17 @@ type process =
 val pp_process : Format.formatter -> process -> unit
 
 val parse : string -> (process, string) result
-(** CLI grammar (docs/LOAD.md): ["poisson:RATE"],
-    ["bursty:RATE:ON_MEAN:OFF_MEAN"],
+(** CLI grammar (docs/LOAD.md), under the shared rules of {!Grammar}
+    (the sources are integers, the other fields numbers):
+    ["poisson:RATE"], ["bursty:RATE:ON_MEAN:OFF_MEAN"],
     ["hotspot:RATE:HOT_FRACTION:HOT_SHARE"], ["batch:S1,S2,…"].
     Parameters are validated the same way {!create} validates them,
     except that a batch source is checked against the node count only
     by {!create}: [batch:9] parses, and [create ~n:8] rejects it. *)
 
 val process_to_string : process -> string
-(** Inverse of {!parse}. *)
+(** Inverse of {!parse}: every number prints as
+    {!Grammar.float_to_string}, so it reads back exactly. *)
 
 type t
 

@@ -48,90 +48,32 @@ let sinr ?(alpha = default_alpha) ?(beta = default_beta)
   let jam = match jam with Some j -> j | None -> 1000.0 *. power in
   sinr_exn { alpha; beta; noise; power; jam; near }
 
-let of_spec spec =
-  let spec = String.trim spec in
-  match String.lowercase_ascii spec with
-  | "dual" | "dual-graph" -> Ok Dual_graph
-  | "sinr" -> Ok (sinr ())
-  | _ ->
-      let prefix = "sinr:" in
-      let plen = String.length prefix in
-      if
-        String.length spec < plen
-        || not (String.equal (String.lowercase_ascii (String.sub spec 0 plen)) prefix)
-      then
-        Error
-          (Printf.sprintf
-             "Reception: bad spec %S (expected 'dual', 'sinr' or \
-              'sinr:key=value,...')"
-             spec)
-      else begin
-        let body = String.sub spec plen (String.length spec - plen) in
-        let kvs = String.split_on_char ',' body in
-        let parse acc kv =
-          let ( let* ) = Result.bind in
-          let* acc = acc in
-          match String.split_on_char '=' (String.trim kv) with
-          | [ key; value ] -> (
-              let key = String.lowercase_ascii (String.trim key) in
-              let value = String.trim value in
-              let float_v () =
-                match float_of_string_opt value with
-                | Some f -> Ok f
-                | None ->
-                    Error
-                      (Printf.sprintf "Reception: %s=%S is not a number" key
-                         value)
-              in
-              match key with
-              | "alpha" ->
-                  let* v = float_v () in
-                  Ok { acc with alpha = v }
-              | "beta" ->
-                  let* v = float_v () in
-                  Ok { acc with beta = v }
-              | "noise" ->
-                  let* v = float_v () in
-                  Ok { acc with noise = v }
-              | "power" ->
-                  let* v = float_v () in
-                  Ok { acc with power = v }
-              | "jam" ->
-                  let* v = float_v () in
-                  Ok { acc with jam = v }
-              | "near" -> (
-                  match int_of_string_opt value with
-                  | Some i -> Ok { acc with near = i }
-                  | None ->
-                      Error
-                        (Printf.sprintf "Reception: near=%S is not an integer"
-                           value))
-              | _ ->
-                  Error
-                    (Printf.sprintf
-                       "Reception: unknown key %S (expected alpha, beta, \
-                        noise, power, jam or near)"
-                       key))
-          | _ ->
-              Error
-                (Printf.sprintf "Reception: malformed clause %S (expected \
-                                 key=value)"
-                   kv)
-        in
-        let defaults =
-          {
-            alpha = default_alpha;
-            beta = default_beta;
-            noise = default_noise;
-            power = default_power;
-            jam = 1000.0 *. default_power;
-            near = default_near;
-          }
-        in
-        match List.fold_left parse (Ok defaults) kvs with
-        | Error _ as e -> e
-        | Ok p -> ( match validate_sinr p with Ok () -> Ok (Sinr p) | Error e -> Error e)
-      end
+let of_spec =
+  let set read f p v = Result.map (f p) (read v) in
+  let keys =
+    Grammar.
+      [
+        ("alpha", set float (fun p alpha -> { p with alpha }));
+        ("beta", set float (fun p beta -> { p with beta }));
+        ("noise", set float (fun p noise -> { p with noise }));
+        ("power", set float (fun p power -> { p with power }));
+        ("jam", set float (fun p jam -> { p with jam }));
+        ("near", set int (fun p near -> { p with near }));
+      ]
+  in
+  let defaults =
+    { alpha = default_alpha; beta = default_beta; noise = default_noise;
+      power = default_power; jam = 1000.0 *. default_power; near = default_near }
+  in
+  let sinr args =
+    Result.bind
+      (Option.fold ~none:(Ok defaults) ~some:(Grammar.settings keys defaults) args)
+      (fun p -> Result.map (fun () -> Sinr p) (validate_sinr p))
+  in
+  Grammar.parse "reception"
+    (Grammar.tags
+       [ ("dual", Grammar.bare Dual_graph); ("dual-graph", Grammar.bare Dual_graph);
+         ("sinr", sinr) ])
 
 let to_spec = function
   | Dual_graph -> "dual"

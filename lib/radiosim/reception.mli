@@ -76,17 +76,18 @@ val sinr :
     [noise >= 0], [power > 0], [jam >= 0] and [near >= 1]. *)
 
 val of_spec : string -> (t, string) result
-(** Parses the CLI grammar:
+(** Parses the CLI grammar, under the shared rules of {!Grammar}:
 
     {v
     SPEC   := 'dual' | 'dual-graph'
             | 'sinr' [':' kv (',' kv)*]
-    kv     := ('alpha' | 'beta' | 'noise' | 'power' | 'jam' | 'near') '=' NUM
+    kv     := ('alpha' | 'beta' | 'noise' | 'power' | 'jam') '=' NUM
+            | 'near' '=' INT
     v}
 
     e.g. ["dual"], ["sinr"], or ["sinr:alpha=4,beta=2,noise=1e-3"].
     Unmentioned keys take the {!sinr} defaults; values are validated
-    with the same rules.  Errors name the offending key or clause. *)
+    with the same rules. *)
 
 val to_spec : t -> string
 (** The canonical spec string: [of_spec (to_spec m) = Ok m] for every

@@ -596,3 +596,300 @@ module Lb_spec = struct
       progress_latencies = List.rev m.progress_latencies_rev;
     }
 end
+
+(* The five spec parsers as they stood before they shared one grammar.
+   Reception's record is private, so the frozen parser collects the keys
+   in a local record and builds the model through [Reception.sinr],
+   whose Invalid_argument text is [validate_sinr]'s error. *)
+module Spec = struct
+  module Reception = Radiosim.Reception
+  module Plan = Faults.Plan
+  module Workload = Macapps.Workload
+  module Strategy = Baseline.Strategy
+
+  type sinr = {
+    alpha : float;
+    beta : float;
+    noise : float;
+    power : float;
+    jam : float;
+    near : int;
+  }
+
+  let reception spec =
+    let spec = String.trim spec in
+    match String.lowercase_ascii spec with
+    | "dual" | "dual-graph" -> Ok Reception.Dual_graph
+    | "sinr" -> Ok (Reception.sinr ())
+    | _ ->
+        let prefix = "sinr:" in
+        let plen = String.length prefix in
+        if
+          String.length spec < plen
+          || not (String.equal (String.lowercase_ascii (String.sub spec 0 plen)) prefix)
+        then
+          Error
+            (Printf.sprintf
+               "Reception: bad spec %S (expected 'dual', 'sinr' or \
+                'sinr:key=value,...')"
+               spec)
+        else begin
+          let body = String.sub spec plen (String.length spec - plen) in
+          let kvs = String.split_on_char ',' body in
+          let parse acc kv =
+            let ( let* ) = Result.bind in
+            let* acc = acc in
+            match String.split_on_char '=' (String.trim kv) with
+            | [ key; value ] -> (
+                let key = String.lowercase_ascii (String.trim key) in
+                let value = String.trim value in
+                let float_v () =
+                  match float_of_string_opt value with
+                  | Some f -> Ok f
+                  | None ->
+                      Error
+                        (Printf.sprintf "Reception: %s=%S is not a number" key
+                           value)
+                in
+                match key with
+                | "alpha" ->
+                    let* v = float_v () in
+                    Ok { acc with alpha = v }
+                | "beta" ->
+                    let* v = float_v () in
+                    Ok { acc with beta = v }
+                | "noise" ->
+                    let* v = float_v () in
+                    Ok { acc with noise = v }
+                | "power" ->
+                    let* v = float_v () in
+                    Ok { acc with power = v }
+                | "jam" ->
+                    let* v = float_v () in
+                    Ok { acc with jam = v }
+                | "near" -> (
+                    match int_of_string_opt value with
+                    | Some i -> Ok { acc with near = i }
+                    | None ->
+                        Error
+                          (Printf.sprintf "Reception: near=%S is not an integer"
+                             value))
+                | _ ->
+                    Error
+                      (Printf.sprintf
+                         "Reception: unknown key %S (expected alpha, beta, \
+                          noise, power, jam or near)"
+                         key))
+            | _ ->
+                Error
+                  (Printf.sprintf "Reception: malformed clause %S (expected \
+                                   key=value)"
+                     kv)
+          in
+          let defaults =
+            { alpha = 3.0; beta = 1.5; noise = 0.01; power = 1.0; jam = 1000.0; near = 2 }
+          in
+          match List.fold_left parse (Ok defaults) kvs with
+          | Error _ as e -> e
+          | Ok { alpha; beta; noise; power; jam; near } -> (
+              match Reception.sinr ~alpha ~beta ~noise ~power ~jam ~near () with
+              | m -> Ok m
+              | exception Invalid_argument e -> Error e)
+        end
+
+  let faults ~seed ~n ~rounds spec =
+    let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+    let int_of s = int_of_string_opt (String.trim s) in
+    let clauses =
+      String.split_on_char ';' spec
+      |> List.map String.trim
+      |> List.filter (fun c -> c <> "")
+    in
+    let rec parse clauses crashes restarts jams churn_clause =
+      match clauses with
+      | [] -> Ok (crashes, restarts, jams, churn_clause)
+      | clause :: rest -> (
+          match String.index_opt clause ':' with
+          | None -> fail "clause %S: expected KIND:ARGS" clause
+          | Some i -> (
+              let kind = String.trim (String.sub clause 0 i) in
+              let args =
+                String.sub clause (i + 1) (String.length clause - i - 1)
+              in
+              let node_at () =
+                match String.split_on_char '@' args with
+                | [ v; r ] -> (
+                    match (int_of v, int_of r) with
+                    | Some v, Some r -> Ok (v, r)
+                    | _ -> fail "clause %S: expected NODE@ROUND" clause)
+                | _ -> fail "clause %S: expected NODE@ROUND" clause
+              in
+              match kind with
+              | "crash" -> (
+                  match node_at () with
+                  | Ok c -> parse rest (c :: crashes) restarts jams churn_clause
+                  | Error e -> Error e)
+              | "restart" -> (
+                  match node_at () with
+                  | Ok r -> parse rest crashes (r :: restarts) jams churn_clause
+                  | Error e -> Error e)
+              | "jam" -> (
+                  match String.split_on_char '@' args with
+                  | [ v; window ] -> (
+                      match (int_of v, String.split_on_char '-' window) with
+                      | Some v, [ f; u ] -> (
+                          match (int_of f, int_of u) with
+                          | Some f, Some u ->
+                              parse rest crashes restarts ((v, f, u) :: jams)
+                                churn_clause
+                          | _ -> fail "clause %S: expected NODE@FROM-UNTIL" clause)
+                      | _ -> fail "clause %S: expected NODE@FROM-UNTIL" clause)
+                  | _ -> fail "clause %S: expected NODE@FROM-UNTIL" clause)
+              | "churn" -> (
+                  if churn_clause <> None then
+                    fail "clause %S: duplicate churn clause" clause
+                  else
+                    match String.split_on_char ',' args with
+                    | [ rate ] -> (
+                        match float_of_string_opt (String.trim rate) with
+                        | Some rate when rate >= 0.0 && rate < 1.0 ->
+                            parse rest crashes restarts jams (Some (rate, None))
+                        | _ -> fail "clause %S: expected RATE in [0,1)" clause)
+                    | [ rate; down ] -> (
+                        match
+                          (float_of_string_opt (String.trim rate), int_of down)
+                        with
+                        | Some rate, Some d when rate >= 0.0 && rate < 1.0 && d > 0
+                          ->
+                            parse rest crashes restarts jams (Some (rate, Some d))
+                        | _ -> fail "clause %S: expected RATE[,DOWNTIME]" clause)
+                    | _ -> fail "clause %S: expected RATE[,DOWNTIME]" clause)
+              | _ -> fail "clause %S: unknown kind %S" clause kind))
+    in
+    match parse clauses [] [] [] None with
+    | Error e -> Error e
+    | Ok (crashes, restarts, jams, churn_clause) -> (
+        try
+          let base =
+            match churn_clause with
+            | None -> Plan.empty ~n
+            | Some (rate, downtime) ->
+                (* explicit crash clauses take precedence over churn draws *)
+                let protect = List.map fst crashes in
+                Plan.churn ~seed ~n ~rounds ~rate ?downtime ~protect ()
+          in
+          let crashes =
+            List.fold_left
+              (fun acc v ->
+                match Plan.crash_round base v with
+                | Some r -> (v, r) :: acc
+                | None -> acc)
+              crashes
+              (List.init n (fun v -> v))
+          and restarts =
+            List.fold_left
+              (fun acc v ->
+                match Plan.restart_round base v with
+                | Some r -> (v, r) :: acc
+                | None -> acc)
+              restarts
+              (List.init n (fun v -> v))
+          in
+          Ok (Plan.make ~n ~crashes ~restarts ~jams ())
+        with Invalid_argument msg -> Error msg)
+
+  let process_error : Workload.process -> string option = function
+    | Poisson { rate } | Bursty { rate; _ } | Hotspot { rate; _ }
+      when not (Float.is_finite rate && rate >= 0.0) ->
+        Some "rate must be finite and non-negative"
+    | Bursty { on_mean; _ } when not (Float.is_finite on_mean && on_mean >= 1.0)
+      ->
+        Some "on_mean must be >= 1"
+    | Bursty { off_mean; _ }
+      when not (Float.is_finite off_mean && off_mean >= 1.0) ->
+        Some "off_mean must be >= 1"
+    | Hotspot { hot_fraction; _ }
+      when not (hot_fraction >= 0.0 && hot_fraction <= 1.0) ->
+        Some "hot_fraction outside [0, 1]"
+    | Hotspot { hot_share; _ } when not (hot_share >= 0.0 && hot_share <= 1.0)
+      ->
+        Some "hot_share outside [0, 1]"
+    | Batch { sources } when List.exists (fun s -> s < 0) sources ->
+        Some "batch sources must be >= 0"
+    | _ -> None
+
+  let workload s : (Workload.process, string) result =
+    let num tok =
+      match float_of_string_opt tok with
+      | Some v when Float.is_finite v -> Ok v
+      | _ -> Error (Printf.sprintf "workload: bad number %S" tok)
+    in
+    let ( let* ) r f = Result.bind r f in
+    let validated p =
+      match process_error p with
+      | None -> Ok p
+      | Some msg -> Error ("workload: " ^ msg)
+    in
+    match String.split_on_char ':' (String.lowercase_ascii (String.trim s)) with
+    | [ "poisson"; r ] ->
+        let* rate = num r in
+        validated (Poisson { rate })
+    | [ "bursty"; r; on; off ] ->
+        let* rate = num r in
+        let* on_mean = num on in
+        let* off_mean = num off in
+        validated (Bursty { rate; on_mean; off_mean })
+    | [ "hotspot"; r; f; sh ] ->
+        let* rate = num r in
+        let* hot_fraction = num f in
+        let* hot_share = num sh in
+        validated (Hotspot { rate; hot_fraction; hot_share })
+    | [ "batch"; list ] -> (
+        match List.map int_of_string_opt (String.split_on_char ',' list) with
+        | sources when List.mem None sources ->
+            Error (Printf.sprintf "workload: bad batch sources %S" list)
+        | sources -> validated (Batch { sources = List.filter_map Fun.id sources }))
+    | _ ->
+        Error
+          (Printf.sprintf
+             "workload: %S does not match poisson:RATE | \
+              bursty:RATE:ON_MEAN:OFF_MEAN | hotspot:RATE:HOT_FRACTION:HOT_SHARE \
+              | batch:S1,S2,..."
+             s)
+
+  let strategy spec : (Strategy.t, string) result =
+    let fail () =
+      Error
+        (Printf.sprintf
+           "bad strategy %S (expected fixed:P | decay:L | decay-restart:L | \
+            sawtooth:L | backoff:K | slotted:N)"
+           spec)
+    in
+    let checked t =
+      match Strategy.validate t with Ok () -> Ok t | Error e -> Error e
+    in
+    match String.split_on_char ':' (String.lowercase_ascii spec) with
+    | [ "fixed"; arg ] -> (
+        match float_of_string_opt arg with
+        | Some p -> checked (Fixed { p })
+        | None -> fail ())
+    | [ family; arg ] -> (
+        match (family, int_of_string_opt arg) with
+        | "decay", Some levels -> checked (Decay { levels })
+        | "decay-restart", Some levels -> checked (Decay_restart { levels })
+        | "sawtooth", Some levels -> checked (Sawtooth { levels })
+        | "backoff", Some max_exp -> checked (Backoff { max_exp })
+        | "slotted", Some slots -> checked (Slotted { slots })
+        | _ -> fail ())
+    | _ -> fail ()
+
+  let policy s : (Macapps.Serve.policy, string) result =
+    match String.lowercase_ascii (String.trim s) with
+    | "drop-tail" -> Ok Drop_tail
+    | "drop-newest" -> Ok Drop_newest
+    | "source-throttle" -> Ok Source_throttle
+    | _ ->
+        Error
+          (Printf.sprintf
+             "serve: %S is not drop-tail | drop-newest | source-throttle" s)
+end

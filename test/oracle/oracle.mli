@@ -149,3 +149,18 @@ module Lb_spec : sig
 
   val finish : monitor -> Localcast.Lb_spec.report
 end
+
+(** The five spec parsers, frozen as they stood before they were
+    rewritten on {!Grammar}, each with its own tokenizer, case rule and
+    number reading.  The property suite checks that whatever one of
+    these accepts, the production parser accepts with the same value. *)
+module Spec : sig
+  val reception : string -> (Radiosim.Reception.t, string) result
+
+  val faults :
+    seed:int -> n:int -> rounds:int -> string -> (Faults.Plan.t, string) result
+
+  val workload : string -> (Macapps.Workload.process, string) result
+  val strategy : string -> (Baseline.Strategy.t, string) result
+  val policy : string -> (Macapps.Serve.policy, string) result
+end

@@ -30,4 +30,5 @@ let () =
       ("stats", Test_stats.suite);
       ("tiled-engine", Test_tiled.suite);
       ("reception-models", Test_reception.suite);
+      ("spec-grammar", Test_grammar.suite);
     ]
