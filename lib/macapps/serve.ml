@@ -103,15 +103,21 @@ module Core = struct
     (* slot pool: all per-message state, O(max_inflight) forever *)
     slot_bits : int;
     slot_mask : int;
-    src : int array;
     birth : int array;
     gen : int array;
     covered : int array;
-    active : Bytes.t;
     seen : (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t;
     row_bytes : int;
-    free : int array;
-    mutable free_top : int;
+    (* [next] threads two lists, and a slot is on exactly one: the free
+       LIFO from [free_head], and the live FIFO in admission order from
+       [oldest] to [newest] (with [prev]).  One ttl and strictly
+       increasing ticks make admission order the order deadlines fall
+       due, so expiry pops from [oldest]. *)
+    prev : int array;
+    next : int array;
+    mutable free_head : int;
+    mutable oldest : int;
+    mutable newest : int;
     (* per-node relay rings, flattened *)
     qbuf : int array;
     qhead : int array;
@@ -120,9 +126,6 @@ module Core = struct
     (* per-node MAC endpoint state *)
     out_entry : int array;
     out_since : int array;
-    (* ttl expiry wheel: bucket (birth + ttl) mod (ttl + 1) *)
-    wheel : int array array;
-    wheel_len : int array;
     mutable send : node:int -> tag:int -> bool;
     mutable last_round : int;
     (* counters *)
@@ -191,23 +194,22 @@ module Core = struct
       deadline = cfg.ack_deadline;
       slot_bits;
       slot_mask = (1 lsl slot_bits) - 1;
-      src = Array.make pool (-1);
       birth = Array.make pool 0;
       gen = Array.make pool 0;
       covered = Array.make pool 0;
-      active = Bytes.make pool '\000';
       seen;
       row_bytes;
-      free = Array.init pool (fun i -> pool - 1 - i);
-      free_top = pool;
+      prev = Array.make pool (-1);
+      next = Array.init pool (fun i -> if i + 1 < pool then i + 1 else -1);
+      free_head = 0;
+      oldest = -1;
+      newest = -1;
       qbuf = Array.make (n * cfg.queue_cap) 0;
       qhead = Array.make n 0;
       qlen = Array.make n 0;
       total_queued = 0;
       out_entry = Array.make n (-1);
       out_since = Array.make n 0;
-      wheel = Array.init (cfg.ttl + 1) (fun _ -> Array.make 8 0);
-      wheel_len = Array.make (cfg.ttl + 1) 0;
       send = (fun ~node:_ ~tag:_ -> false);
       last_round = -1;
       arrivals = 0;
@@ -242,10 +244,10 @@ module Core = struct
 
   let[@inline] slot_of_entry t entry = entry land t.slot_mask
 
+  (* [free_slot] bumps the generation, so a freed slot's old entries
+     never match again *)
   let[@inline] live t entry =
-    let slot = entry land t.slot_mask in
-    Bytes.unsafe_get t.active slot = '\001'
-    && Array.unsafe_get t.gen slot = entry lsr t.slot_bits
+    Array.unsafe_get t.gen (entry land t.slot_mask) = entry lsr t.slot_bits
 
   let[@inline] seen_get t slot node =
     let byte = (slot * t.row_bytes) + (node lsr 3) in
@@ -261,11 +263,14 @@ module Core = struct
 
   let[@inline] mincr m f = match m with Some m -> Obs.Metrics.incr (f m) | None -> ()
 
+  (* unlink from the live FIFO, push on the free LIFO *)
   let free_slot t slot =
-    Bytes.unsafe_set t.active slot '\000';
+    let p = t.prev.(slot) and nx = t.next.(slot) in
+    if p < 0 then t.oldest <- nx else t.next.(p) <- nx;
+    if nx < 0 then t.newest <- p else t.prev.(nx) <- p;
     t.gen.(slot) <- t.gen.(slot) + 1;
-    t.free.(t.free_top) <- slot;
-    t.free_top <- t.free_top + 1;
+    t.next.(slot) <- t.free_head;
+    t.free_head <- slot;
     t.inflight <- t.inflight - 1
 
   let complete t slot ~round =
@@ -349,14 +354,17 @@ module Core = struct
     t.arrivals <- t.arrivals + 1;
     mincr t.mirror (fun m -> m.m_arrivals);
     if t.policy = Source_throttle && t.qlen.(node) = t.cap then reject t
-    else if t.free_top = 0 then reject t
+    else if t.free_head < 0 then reject t
     else begin
-      t.free_top <- t.free_top - 1;
-      let slot = t.free.(t.free_top) in
-      t.src.(slot) <- node;
+      let slot = t.free_head in
+      t.free_head <- t.next.(slot);
+      (* link at the newest end of the live FIFO *)
+      t.prev.(slot) <- t.newest;
+      t.next.(slot) <- -1;
+      if t.newest < 0 then t.oldest <- slot else t.next.(t.newest) <- slot;
+      t.newest <- slot;
       t.birth.(slot) <- round;
       t.covered.(slot) <- 1;
-      Bytes.unsafe_set t.active slot '\001';
       (* reset the coverage row *)
       let base = slot * t.row_bytes in
       for b = base to base + t.row_bytes - 1 do
@@ -369,21 +377,6 @@ module Core = struct
       t.inflight <- t.inflight + 1;
       mincr t.mirror (fun m -> m.m_admitted);
       let entry = entry_of_slot t slot in
-      (* schedule the ttl *)
-      let b = (round + t.ttl) mod (t.ttl + 1) in
-      let len = t.wheel_len.(b) in
-      let bucket = t.wheel.(b) in
-      let bucket =
-        if len = Array.length bucket then begin
-          let bigger = Array.make (2 * len) 0 in
-          Array.blit bucket 0 bigger 0 len;
-          t.wheel.(b) <- bigger;
-          bigger
-        end
-        else bucket
-      in
-      bucket.(len) <- entry;
-      t.wheel_len.(b) <- len + 1;
       if t.covered.(slot) = t.n then complete t slot ~round
       else enqueue t ~node ~entry ~round
     end
@@ -392,14 +385,10 @@ module Core = struct
     if round <= t.last_round then
       invalid_arg "Serve.Core.tick: rounds must be strictly increasing";
     t.last_round <- round;
-    (* expire this round's wheel bucket *)
-    let b = round mod (t.ttl + 1) in
-    let bucket = t.wheel.(b) in
-    for i = 0 to t.wheel_len.(b) - 1 do
-      let e = bucket.(i) in
-      if live t e then expire t (slot_of_entry t e)
+    (* expire every message whose deadline has come, oldest first *)
+    while t.oldest >= 0 && t.birth.(t.oldest) + t.ttl <= round do
+      expire t t.oldest
     done;
-    t.wheel_len.(b) <- 0;
     (* inject this round's offered load *)
     for node = 0 to t.n - 1 do
       let k = Workload.arrivals workload ~node ~round in

@@ -31,9 +31,6 @@ let transmitter_counts ~dual ~scheduler ~round ~transmitting () =
   let inc_off, inc_nbr, inc_edge = Dual.unreliable_incidence_csr dual in
   let g_off = Graph.csr_offsets (Dual.g dual) in
   let g_adj = Graph.csr_neighbors (Dual.g dual) in
-  let m = Dual.unreliable_count dual in
-  let active = Bytes.create m in
-  if m > 0 then Scheduler.fill_active scheduler ~round active;
   let counts = Array.make n 0 in
   for v = 0 to n - 1 do
     if transmitting.(v) then begin
@@ -42,7 +39,7 @@ let transmitter_counts ~dual ~scheduler ~round ~transmitting () =
         counts.(u) <- counts.(u) + 1
       done;
       for j = inc_off.(v) to inc_off.(v + 1) - 1 do
-        if Bytes.unsafe_get active (Array.unsafe_get inc_edge j) = '\001' then begin
+        if Scheduler.active scheduler ~round ~edge:inc_edge.(j) then begin
           let u = Array.unsafe_get inc_nbr j in
           counts.(u) <- counts.(u) + 1
         end

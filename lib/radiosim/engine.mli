@@ -168,6 +168,5 @@ val transmitter_counts :
 (** Diagnostic: for the given transmitting set, the number of
     topology-neighbors of each node that transmit in [round] (the
     contention each listener faces).  Used by tests to cross-check the
-    engine's collision rule.  Resolves the round's activation densely
-    ({!Scheduler.fill_active}) and walks each transmitter's reliable
-    and unreliable incidence, which the dual graph stores in CSR form. *)
+    engine's collision rule.  Walks each transmitter's reliable and
+    unreliable CSR incidence, asking {!Scheduler.active} per edge. *)

@@ -1,17 +1,11 @@
 type t = {
   name : string;
   active : round:int -> edge:int -> bool;
-  (* Batch form of [active]: set byte [e] of the buffer to '\001' iff
-     edge [e] is present this round.  Semantically redundant with
-     [active]; kept as a separate field so constant and periodic
-     schedulers can fill with a single [Bytes.fill] instead of one
-     predicate call per edge. *)
-  fill : round:int -> Bytes.t -> unit;
-  (* Sparse form: write the indices of the active edges among [0, m)
+  (* Batch form: write the indices of the active edges among [0, m)
      into the buffer prefix in strictly increasing order and return
-     their count.  Semantically redundant with [active] too; kept
-     separate so schedulers whose expected active set is much smaller
-     than m can emit it directly instead of resolving every edge. *)
+     their count.  Semantically redundant with [active]; kept separate
+     so schedulers whose expected active set is much smaller than m can
+     emit it directly instead of resolving every edge. *)
   fill_sparse : round:int -> m:int -> int array -> int;
   (* Whether [fill_sparse] does work proportional to the emitted set
      (true) or resolves every one of the m edges per round (false).
@@ -22,11 +16,6 @@ type t = {
 let name t = t.name
 let active t = t.active
 let resolves_sparsely t = t.sparse_native
-
-let fill_of_active active ~round buf =
-  for e = 0 to Bytes.length buf - 1 do
-    Bytes.unsafe_set buf e (if active ~round ~edge:e then '\001' else '\000')
-  done
 
 let sparse_of_active active ~round ~m buf =
   if Array.length buf < m then
@@ -40,8 +29,6 @@ let sparse_of_active active ~round ~m buf =
   done;
   !k
 
-let fill_active t ~round buf = t.fill ~round buf
-
 let fill_active_sparse t ~round ~m buf =
   if m < 0 then invalid_arg "Scheduler.fill_active_sparse: negative m";
   if Array.length buf < m then
@@ -52,13 +39,9 @@ let make ~name active =
   {
     name;
     active;
-    fill = fill_of_active active;
     fill_sparse = sparse_of_active active;
     sparse_native = false;
   }
-
-let constant_fill on ~round:_ buf =
-  Bytes.fill buf 0 (Bytes.length buf) (if on then '\001' else '\000')
 
 let sparse_all ~m buf =
   for e = 0 to m - 1 do
@@ -72,7 +55,6 @@ let reliable_only =
   {
     name = "reliable-only";
     active = (fun ~round:_ ~edge:_ -> false);
-    fill = constant_fill false;
     fill_sparse = constant_sparse false;
     sparse_native = true;
   }
@@ -81,7 +63,6 @@ let all_edges =
   {
     name = "all-edges";
     active = (fun ~round:_ ~edge:_ -> true);
-    fill = constant_fill true;
     fill_sparse = constant_sparse true;
     sparse_native = true;
   }
@@ -93,11 +74,6 @@ let bernoulli ~seed ~p =
     let h = Prng.Rng.round_hash ~round ~salt:((edge * 2654435761) + seed) in
     float_of_int h /. 9007199254740992.0 < p
   in
-  let fill ~round buf =
-    for edge = 0 to Bytes.length buf - 1 do
-      Bytes.unsafe_set buf edge (if active ~round ~edge then '\001' else '\000')
-    done
-  in
   let fill_sparse ~round ~m buf =
     let k = ref 0 in
     for edge = 0 to m - 1 do
@@ -108,7 +84,7 @@ let bernoulli ~seed ~p =
     done;
     !k
   in
-  { name = Printf.sprintf "bernoulli(p=%.2f)" p; active; fill; fill_sparse;
+  { name = Printf.sprintf "bernoulli(p=%.2f)" p; active; fill_sparse;
     sparse_native = false }
 
 (* [bernoulli_sparse] draws each round's active set by geometric skip
@@ -185,19 +161,9 @@ let bernoulli_sparse ~seed ~p =
       done;
       Hashtbl.mem memo_hits edge
     in
-    let fill ~round buf =
-      Bytes.fill buf 0 (Bytes.length buf) '\000';
-      let m = Bytes.length buf in
-      let idx = Array.make (max m 1) 0 in
-      let k = fill_sparse ~round ~m idx in
-      for i = 0 to k - 1 do
-        Bytes.unsafe_set buf (Array.unsafe_get idx i) '\001'
-      done
-    in
     {
       name = Printf.sprintf "bernoulli-sparse(p=%.2f)" p;
       active;
-      fill;
       fill_sparse;
       sparse_native = true;
     }
@@ -210,7 +176,6 @@ let flicker ~period ~duty =
   {
     name = Printf.sprintf "flicker(%d/%d)" duty period;
     active = (fun ~round ~edge:_ -> on round);
-    fill = (fun ~round buf -> constant_fill (on round) ~round buf);
     fill_sparse = (fun ~round ~m buf -> constant_sparse (on round) ~round ~m buf);
     sparse_native = true;
   }
@@ -221,15 +186,6 @@ let edge_phase_flicker ~period =
   {
     name = Printf.sprintf "edge-phase(%d)" period;
     active;
-    fill =
-      (fun ~round buf ->
-        (* Only every [period]-th edge is on: clear, then stride. *)
-        Bytes.fill buf 0 (Bytes.length buf) '\000';
-        let e = ref (round mod period) in
-        while !e < Bytes.length buf do
-          Bytes.unsafe_set buf !e '\001';
-          e := !e + period
-        done);
     fill_sparse =
       (fun ~round ~m buf ->
         let k = ref 0 in
@@ -247,7 +203,6 @@ let thwart ~hot =
   {
     name = "thwart";
     active = (fun ~round ~edge:_ -> hot round);
-    fill = (fun ~round buf -> constant_fill (hot round) ~round buf);
     fill_sparse = (fun ~round ~m buf -> constant_sparse (hot round) ~round ~m buf);
     sparse_native = true;
   }

@@ -19,28 +19,17 @@ val name : t -> string
 val active : t -> round:int -> edge:int -> bool
 (** Whether unreliable edge [edge] is present in round [round]. *)
 
-val fill_active : t -> round:int -> Bytes.t -> unit
-(** [fill_active t ~round buf] materializes the round's whole activation
-    set in one pass: byte [e] of [buf] is set to ['\001'] iff edge [e]
-    is present in [round], for every [e < Bytes.length buf].  Callers
-    size [buf] to {!Dualgraph.Dual.unreliable_count} and reuse it across
-    rounds.  Agrees with {!active} edge-by-edge (a property the test
-    suite checks), but resolves each edge exactly once per round —
-    constant and periodic schedulers fill with a single [Bytes.fill],
-    and hash-based schedulers hash each edge once instead of once per
-    incident listener. *)
-
 val fill_active_sparse : t -> round:int -> m:int -> int array -> int
 (** [fill_active_sparse t ~round ~m buf] writes the indices of the edges
     active in [round] (among edges [0 .. m-1]) into the prefix of [buf]
     in strictly increasing order, each exactly once, and returns their
     count.  Callers size [buf] to at least [m]
     ({!Dualgraph.Dual.unreliable_count}) and reuse it across rounds.
-    Agrees with {!active} edge-by-edge and with {!fill_active} (checked
-    by the test suite), but schedulers whose expected active set is far
-    smaller than [m] — constant/periodic schedulers and
-    {!bernoulli_sparse} — emit the set directly in time proportional to
-    its size, instead of resolving all [m] edges.  Raises
+    Agrees with {!active} edge-by-edge (checked by the test suite), but
+    resolves each edge at most once per round, and schedulers whose
+    expected active set is far smaller than [m] — constant/periodic
+    schedulers and {!bernoulli_sparse} — emit the set directly in time
+    proportional to its size, instead of resolving all [m] edges.  Raises
     [Invalid_argument] if [m < 0] or [buf] is shorter than [m].
 
     Domain safety: both engines resolve the activation set exactly once
@@ -59,8 +48,7 @@ val resolves_sparsely : t -> bool
 
 val make : name:string -> (round:int -> edge:int -> bool) -> t
 (** Build a custom scheduler.  The function must be pure; the batch
-    {!fill_active} and {!fill_active_sparse} forms are derived from
-    it. *)
+    {!fill_active_sparse} form is derived from it. *)
 
 val reliable_only : t
 (** Never includes an unreliable edge: the topology is always G.  Under

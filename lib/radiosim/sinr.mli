@@ -49,9 +49,10 @@
     floating-point results — and therefore traces — are bit-identical
     at any tile count.  [docs/RECEPTION.md] works the scheme, its cost
     model and its error envelope; the test suite checks exact agreement
-    with the frozen dense path ({!receive_reference}) across the
-    scheduler and fault zoo, and with a naive all-pairs sum whenever
-    the band covers the whole field. *)
+    with the frozen dense path (the test-only [Oracle.Sinr_dense],
+    rebuilt from this module's public inputs) across the scheduler and
+    fault zoo, and with a naive all-pairs sum whenever the band covers
+    the whole field. *)
 
 type t
 
@@ -120,21 +121,3 @@ val verdict : t -> jammed:bool -> slot:int -> int
     {e reception} instead of suppressing its transmission (see
     [docs/RECEPTION.md] §4).  The caller is responsible for only
     consulting slots of listeners (alive, not transmitting). *)
-
-val receive_reference : t -> jammed:bool -> listener:int -> int
-(** The frozen dense oracle: PR 8's listener-centric path — full
-    per-listener band scan plus an O(cols) dense far-field row — kept
-    verbatim and reading none of the sparse kernels' state.  The
-    property suite asserts [verdict ≡ receive_reference] (and the
-    engine's skip set sound against it) across the scheduler and fault
-    zoo; the M12 micro-benchmark reports the speedup against it.  Same
-    contract as {!verdict}, for a listener not itself transmitting. *)
-
-val diag : t -> jammed:bool -> listener:int -> int * float * float
-(** [(best, signal, interference)] behind the {!receive_reference}
-    verdict, computed on the same frozen dense path: the in-band
-    candidate ([-1] if none), its received signal power, and the
-    denominator — every other transmitter's power (near exact + far
-    aggregated) plus noise plus jam.  The listener decodes [best] iff
-    [signal >= beta · interference].  Exposed for tests and for the
-    worked example in [docs/RECEPTION.md]. *)

@@ -235,36 +235,6 @@ let test_transmitter_counts_unreliable () =
   checki "node 2 sees 0 over grey edge (on)" 1 on.(2);
   checki "node 2 sees nothing (off)" 0 off.(2)
 
-(* Scheduler.fill_active must agree with per-edge Scheduler.active for
-   every scheduler kind, including the custom-made default derivation. *)
-let test_scheduler_fill_active () =
-  let schedulers =
-    [
-      Sch.reliable_only;
-      Sch.all_edges;
-      Sch.bernoulli ~seed:11 ~p:0.35;
-      Sch.flicker ~period:5 ~duty:2;
-      Sch.edge_phase_flicker ~period:3;
-      Sch.thwart ~hot:(fun round -> round mod 3 = 1);
-      Sch.make ~name:"custom" (fun ~round ~edge -> (round + edge) mod 4 = 0);
-    ]
-  in
-  let m = 41 in
-  let buf = Bytes.create m in
-  List.iter
-    (fun s ->
-      for round = 0 to 24 do
-        Sch.fill_active s ~round buf;
-        for edge = 0 to m - 1 do
-          checkb
-            (Printf.sprintf "%s round %d edge %d"
-               (Format.asprintf "%a" Sch.pp s) round edge)
-            (Sch.active s ~round ~edge)
-            (Bytes.get buf edge = '\001')
-        done
-      done)
-    schedulers
-
 (* Scheduler.fill_active_sparse must emit exactly the active edges, as
    strictly ascending indices, for every scheduler kind — the derived
    scan path and both native sparse resolvers (constant schedulers and
@@ -335,15 +305,13 @@ let test_bernoulli_sparse_distribution () =
   let sparse = Sch.bernoulli_sparse ~seed:202 ~p in
   let per_edge_d = Array.make m 0 and per_edge_s = Array.make m 0 in
   let counts_d = Array.make rounds 0 and counts_s = Array.make rounds 0 in
-  let dense_buf = Bytes.create m in
+  let dense_buf = Array.make m 0 in
   let sparse_buf = Array.make m 0 in
   for round = 0 to rounds - 1 do
-    Sch.fill_active dense ~round dense_buf;
-    for edge = 0 to m - 1 do
-      if Bytes.get dense_buf edge = '\001' then begin
-        per_edge_d.(edge) <- per_edge_d.(edge) + 1;
-        counts_d.(round) <- counts_d.(round) + 1
-      end
+    let k = Sch.fill_active_sparse dense ~round ~m dense_buf in
+    counts_d.(round) <- k;
+    for i = 0 to k - 1 do
+      per_edge_d.(dense_buf.(i)) <- per_edge_d.(dense_buf.(i)) + 1
     done;
     let k = Sch.fill_active_sparse sparse ~round ~m sparse_buf in
     counts_s.(round) <- k;
@@ -572,7 +540,6 @@ let suite =
       ("engine determinism", test_engine_determinism);
       ("transmitter counts", test_transmitter_counts);
       ("transmitter counts unreliable", test_transmitter_counts_unreliable);
-      ("scheduler fill_active agrees with active", test_scheduler_fill_active);
       ( "scheduler fill_active_sparse agrees with active",
         test_scheduler_fill_active_sparse );
       ( "bernoulli_sparse matches bernoulli in distribution",

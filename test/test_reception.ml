@@ -13,6 +13,7 @@ module Tiled = Radiosim.Tiled
 module Trace = Radiosim.Trace
 module Reception = Radiosim.Reception
 module Sinr = Radiosim.Sinr
+module Dense = Oracle.Sinr_dense
 module P = Radiosim.Process
 module M = Localcast.Messages
 module Rng = Prng.Rng
@@ -211,16 +212,17 @@ let test_distance_monotonicity () =
     | Reception.Dual_graph -> assert false
   in
   let field = Sinr.create ~params dual in
-  Sinr.load_round field ~transmitters:[| 0 |] ~count:1;
+  let dense = Dense.create ~params dual field in
+  Dense.load dense ~transmitters:[| 0 |] ~count:1;
   let prev = ref infinity in
   for v = 1 to n - 1 do
-    let best, signal, _ = Sinr.diag field ~jammed:false ~listener:v in
+    let best, signal, _ = Dense.diag dense ~jammed:false ~listener:v in
     Alcotest.(check int) (Printf.sprintf "node %d hears node 0" v) 0 best;
     Alcotest.(check bool)
       (Printf.sprintf "signal at %d weaker than at %d" v (v - 1))
       true (signal < !prev);
     prev := signal;
-    let verdict = Sinr.receive_reference field ~jammed:false ~listener:v in
+    let verdict = Dense.receive dense ~jammed:false ~listener:v in
     let expect = if float_of_int v <= 4.05 then 0 else -2 in
     Alcotest.(check int)
       (Printf.sprintf "decode verdict at distance %d" v)
@@ -389,6 +391,8 @@ let test_boundary_column () =
   Alcotest.(check int) "boundary transmitter lands in column 3" 3
     (Sinr.column_of field tx);
   Sinr.load_round field ~transmitters:[| tx |] ~count:1;
+  let dense = Dense.create ~params dual field in
+  Dense.load dense ~transmitters:[| tx |] ~count:1;
   List.iter
     (fun (c, expect) ->
       Alcotest.(check bool)
@@ -401,7 +405,7 @@ let test_boundary_column () =
     (Array.to_list (Array.sub act 0 nact));
   for u = 0 to n - 1 do
     if u <> tx then begin
-      let rr = Sinr.receive_reference field ~jammed:false ~listener:u in
+      let rr = Dense.receive dense ~jammed:false ~listener:u in
       if not (Sinr.column_active field (Sinr.column_of field u)) then
         Alcotest.(check int) (Printf.sprintf "skipped listener %d silent" u)
           (-1) rr
@@ -416,7 +420,7 @@ let test_boundary_column () =
         if u <> tx then
           Alcotest.(check int)
             (Printf.sprintf "verdict at slot %d = reference" s)
-            (Sinr.receive_reference field ~jammed:false ~listener:u)
+            (Dense.receive dense ~jammed:false ~listener:u)
             (Sinr.verdict field ~jammed:false ~slot:s)
       done
     end
@@ -553,6 +557,8 @@ let qcheck_cases =
         else begin
           Sinr.load_round field ~transmitters
             ~count:(Array.length transmitters);
+          let dense = Dense.create ~params dual field in
+          Dense.load dense ~transmitters ~count:(Array.length transmitters);
           let is_tx = Array.make n false in
           Array.iter (fun v -> is_tx.(v) <- true) transmitters;
           (* The band covers the field, so a batched scan of every
@@ -572,7 +578,7 @@ let qcheck_cases =
                 naive_receive ~params ~emb ~transmitters ~listener:u
               in
               let gbest, gsig, ginterf =
-                Sinr.diag field ~jammed:false ~listener:u
+                Dense.diag dense ~jammed:false ~listener:u
               in
               (* Different accumulation orders, so compare to relative
                  tolerance; the candidate and its (order-free) signal
@@ -632,13 +638,15 @@ let qcheck_cases =
         if count = 0 then true
         else begin
           Sinr.load_round field ~transmitters ~count;
+          let dense = Dense.create ~params dual field in
+          Dense.load dense ~transmitters ~count;
           let is_tx = Array.make n false in
           Array.iter (fun v -> is_tx.(v) <- true) transmitters;
           let jam = Array.init n (fun _ -> Rng.bernoulli rng 0.3) in
           let ok = ref true in
           for u = 0 to n - 1 do
             if not is_tx.(u) then begin
-              let rr = Sinr.receive_reference field ~jammed:jam.(u) ~listener:u in
+              let rr = Dense.receive dense ~jammed:jam.(u) ~listener:u in
               if
                 (not (Sinr.column_active field (Sinr.column_of field u)))
                 && rr <> -1
@@ -655,7 +663,7 @@ let qcheck_cases =
               if not is_tx.(u) then
                 if
                   Sinr.verdict field ~jammed:jam.(u) ~slot:s
-                  <> Sinr.receive_reference field ~jammed:jam.(u) ~listener:u
+                  <> Dense.receive dense ~jammed:jam.(u) ~listener:u
                 then ok := false
             done
           done;
@@ -678,6 +686,7 @@ let qcheck_cases =
           | Reception.Dual_graph -> assert false
         in
         let field = Sinr.create ~params dual in
+        let dense = Dense.create ~params dual field in
         let ok = ref true in
         (* Several loads on one field: the activation set (and its mark
            bytes) must track each round's transmitters, not accumulate. *)
@@ -690,6 +699,7 @@ let qcheck_cases =
           in
           let count = Array.length transmitters in
           Sinr.load_round field ~transmitters ~count;
+          Dense.load dense ~transmitters ~count;
           for u = 0 to n - 1 do
             let cu = Sinr.column_of field u in
             let in_band =
@@ -702,7 +712,7 @@ let qcheck_cases =
             if Sinr.column_active field cu <> in_band then ok := false;
             if
               (not (Sinr.column_active field cu))
-              && Sinr.receive_reference field ~jammed:false ~listener:u <> -1
+              && Dense.receive dense ~jammed:false ~listener:u <> -1
             then ok := false
           done
         done;
