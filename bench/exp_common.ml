@@ -53,6 +53,16 @@ let git_rev () =
     | _ -> "unknown"
   with _ -> "unknown"
 
+(* Where a BENCH_* artifact goes: the working directory in a full run,
+   which regenerates the committed snapshots, and [_build/] in a quick
+   run, so a smoke run at the repository root never overwrites them. *)
+let artifact_path name =
+  if !quick then begin
+    if not (Sys.file_exists "_build") then Sys.mkdir "_build" 0o755;
+    Filename.concat "_build" name
+  end
+  else name
+
 let section title =
   Printf.printf "\n######## %s ########\n%!" title
 

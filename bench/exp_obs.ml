@@ -104,10 +104,10 @@ let run () =
   if audit_progress_miss <> report.L.Lb_spec.progress_failures then
     failwith "exp_obs: auditor progress misses disagree with Lb_spec";
   (* Artifacts: the per-phase metric snapshots and the raw event stream. *)
-  let json_path = "BENCH_obs.json" in
+  let json_path = artifact_path "BENCH_obs.json" in
   Obs.Metrics.write_json ~path:json_path ~git_rev:(git_rev ())
     outcome.L.Service.obs_snapshots;
-  let jsonl_path = "BENCH_obs_events.jsonl" in
+  let jsonl_path = artifact_path "BENCH_obs_events.jsonl" in
   Obs.Sink.save_jsonl sink ~path:jsonl_path;
   (* Round-trip the export: teeth for the JSONL schema. *)
   (match Obs.Sink.load_jsonl ~path:jsonl_path with

@@ -249,6 +249,6 @@ let run () =
     report.Serve.rounds report.Serve.arrivals report.Serve.completed
     report.Serve.goodput report.Serve.delivery_p50 report.Serve.delivery_p99
     report.Serve.minor_words_per_round rss wall_s;
-  let path = "BENCH_service.json" in
+  let path = Exp_common.artifact_path "BENCH_service.json" in
   write_json ~path (List.rev !rows) load;
   Exp_common.note "wrote %s (git rev %s)" path (Exp_common.git_rev ())

@@ -35,7 +35,7 @@
 
    Usage:
      dune exec bench/main.exe                # everything, full trials
-     dune exec bench/main.exe -- --quick     # reduced trials
+     dune exec bench/main.exe -- --quick     # reduced trials; BENCH_* files go to _build/
      dune exec bench/main.exe -- --only e8   # one experiment group
 *)
 
@@ -88,7 +88,9 @@ let () =
         "GROUP run only this experiment group (e1-e4, e5-e7, e8, e9, e10, e11, \
          e12, e13, e14, e15, e16, e17, e18, e19, e20, e21, e22, e23, e24, \
          e25, obs, micro, service); repeatable" );
-      ("--quick", Arg.Set Exp_common.quick, " reduced trial counts");
+      ( "--quick",
+        Arg.Set Exp_common.quick,
+        " reduced trial counts; writes the BENCH_* files under _build/" );
       ( "--domains",
         Arg.Int
           (fun d ->

@@ -1,8 +1,9 @@
 (* M1-M14: Bechamel micro-benchmarks of the core primitives, one per
    experiment table in the performance section of EXPERIMENTS.md.  Each
    prints an OLS estimate of nanoseconds per run against the monotonic
-   clock; the same estimates are written to BENCH_micro.json so the
-   perf trajectory can be tracked across commits.
+   clock; the same estimates are written to BENCH_micro.json (under
+   _build/ in quick mode) so the perf trajectory can be tracked across
+   commits.
 
    Each benchmark carries its raw thunk alongside the Bechamel test so
    the runner can warm it up (JIT-free here, but allocator/cache state
@@ -531,6 +532,6 @@ let run () =
       Stats.Table.add_row table [ name; rendered; r2_text ])
     tests;
   Stats.Table.print table;
-  let path = "BENCH_micro.json" in
+  let path = Exp_common.artifact_path "BENCH_micro.json" in
   write_json ~path (List.rev !rows);
   Exp_common.note "wrote %s (git rev %s)" path (git_rev ())

@@ -15,6 +15,15 @@ type mode =
   | Receiving
   | Sending of { message : Messages.payload; mutable phases_left : int }
 
+(* Where the node's shared bits come from in the current phase: a
+   SeedAlg run during a preamble, then a cursor on the committed seed
+   for body rounds.  [skipped] counts the body rounds listened through
+   since the cursor last moved (see [body_action]). *)
+type seed =
+  | Unseeded
+  | Agreeing of Seed_core.t
+  | Seeded of { cursor : Prng.Bitstring.cursor; mutable skipped : int }
+
 type state = {
   params : Params.t;
   id : int;
@@ -23,8 +32,7 @@ type state = {
   seen : (Messages.payload, unit) Hashtbl.t;
   mutable mode : mode;
   mutable pending : Messages.payload option;
-  mutable core : Seed_core.t option;  (** live during a preamble *)
-  mutable cursor : Prng.Bitstring.cursor option;  (** live during body rounds *)
+  mutable seed : seed;
   mutable pending_outputs : Messages.lb_output list;
 }
 
@@ -65,70 +73,79 @@ let create params ~source ~id ~rng =
     seen = Hashtbl.create 32;
     mode = Receiving;
     pending = None;
-    core = None;
-    cursor = None;
+    seed = Unseeded;
     pending_outputs = [];
   }
 
 let queue_output state out = state.pending_outputs <- out :: state.pending_outputs
 
-(* Commit the preamble's seed and open a cursor on it for body rounds. *)
-let commit_seed state =
-  match state.core with
-  | None -> ()
-  | Some core ->
-      Seed_core.finalize core;
-      (match Seed_core.decision core with
-      | Some announcement ->
-          state.cursor <- Some (Prng.Bitstring.cursor announcement.Messages.seed);
-          queue_output state (Messages.Committed announcement)
-      | None -> assert false);
-      state.core <- None
+let open_cursor state seed =
+  state.seed <- Seeded { cursor = Prng.Bitstring.cursor seed; skipped = 0 }
 
-(* Every node holding a committed seed advances its cursor identically,
-   whether sending or receiving: this keeps all members of one seed group
-   at the same bit position even when a node enters the sending state
-   partway through a multi-phase seed cycle (seed_refresh > 1). *)
+(* Commit the preamble's seed and open a cursor on it for body rounds. *)
+let commit_seed state core =
+  Seed_core.finalize core;
+  match Seed_core.decision core with
+  | Some announcement ->
+      open_cursor state announcement.Messages.seed;
+      queue_output state (Messages.Committed announcement)
+  | None -> assert false
+
+(* One body round's shared bits (§4.2): [0] for a non-participant, else
+   the probability level b in [1, log Δ]. *)
+let shared_level params cursor =
+  (* Step 1: shared participant decision (probability 2^-d). *)
+  if not (Prng.Bitstring.take_all_zero cursor params.Params.participant_bits)
+  then 0
+  else if params.Params.level_bits = 0 then 1
+  else begin
+    (* Step 3: shared probability level.  The level must be uniform in
+       [1, log Δ]; reducing one draw mod log Δ would skew toward small
+       levels whenever 2^level_bits is not a multiple of log Δ, so we
+       rejection-sample: accept the first draw below the largest
+       multiple of log Δ (uniform after reduction), over a fixed budget
+       of level_draws draws so every group member consumes the same
+       shared bits.  If all draws land in the short biased tail
+       (probability < 2^-level_draws), fall back to the last draw
+       reduced mod log Δ. *)
+    let m = params.Params.log_delta in
+    let limit = (1 lsl params.Params.level_bits) / m * m in
+    let chosen = ref (-1) in
+    let last = ref 0 in
+    for _ = 1 to params.Params.level_draws do
+      let v = Prng.Bitstring.take_int cursor params.Params.level_bits in
+      last := v;
+      if !chosen < 0 && v < limit then chosen := v
+    done;
+    (if !chosen >= 0 then !chosen mod m else !last mod m) + 1
+  end
+
+(* Members of one seed group must read the same bits in the same round,
+   but only a sender acts on them: a receiving node listens and draws
+   nothing, so it leaves its cursor where it is and counts the body
+   rounds it skipped.  Before its first step as a sender — mid-cycle
+   only when seed_refresh > 1, since a preamble opens a fresh cursor —
+   it replays exactly those takes, so from then on it reads the same
+   bits in the same round as every sender of its group. *)
 let body_action state =
-  match state.cursor with
-  | None -> P.Listen
-  | Some cursor ->
-      let params = state.params in
-      (* Step 1: shared participant decision (probability 2^-d). *)
-      let participant =
-        Prng.Bitstring.take_all_zero cursor params.Params.participant_bits
-      in
-      if not participant then P.Listen
-      else begin
-        (* Step 3: shared probability level, then local coins.  The
-           level must be uniform in [1, log Δ]; reducing one draw mod
-           log Δ would skew toward small levels whenever 2^level_bits is
-           not a multiple of log Δ, so we rejection-sample: accept the
-           first draw below the largest multiple of log Δ (uniform after
-           reduction), over a fixed budget of level_draws draws so every
-           group member consumes the same shared bits.  If all draws
-           land in the short biased tail (probability < 2^-level_draws),
-           fall back to the last draw reduced mod log Δ. *)
-        let b =
-          if params.Params.level_bits = 0 then 1
-          else begin
-            let m = params.Params.log_delta in
-            let limit = (1 lsl params.Params.level_bits) / m * m in
-            let chosen = ref (-1) in
-            let last = ref 0 in
-            for _ = 1 to params.Params.level_draws do
-              let v = Prng.Bitstring.take_int cursor params.Params.level_bits in
-              last := v;
-              if !chosen < 0 && v < limit then chosen := v
-            done;
-            (if !chosen >= 0 then !chosen mod m else !last mod m) + 1
-          end
-        in
-        match state.mode with
-        | Sending { message; _ } when Prng.Rng.geometric_trial state.rng b ->
+  match state.seed with
+  | Unseeded | Agreeing _ -> P.Listen
+  | Seeded s -> (
+      match state.mode with
+      | Receiving ->
+          s.skipped <- s.skipped + 1;
+          P.Listen
+      | Sending { message; _ } ->
+          let params = state.params and cursor = s.cursor in
+          for _ = 1 to s.skipped do
+            ignore (shared_level params cursor : int)
+          done;
+          s.skipped <- 0;
+          (* Then the local coins: transmit with probability 2^-b. *)
+          let b = shared_level params cursor in
+          if b > 0 && Prng.Rng.geometric_trial state.rng b then
             P.Transmit (Messages.Data message)
-        | Sending _ | Receiving -> P.Listen
-      end
+          else P.Listen)
 
 (* A top-level walk rather than [List.iter] over a closure capturing
    [state]: the common empty round then allocates nothing. *)
@@ -156,29 +173,27 @@ let decide state ~round inputs =
         state.pending <- None
     | _ -> ());
     (* ...and open a fresh seed source when this phase carries one. *)
-    if preamble then begin
-      state.cursor <- None;
-      match state.source with
-      | Src_agreement ->
-          state.core <-
-            Some (Seed_core.create params.Params.seed ~id:state.id ~rng:state.rng)
-      | Src_oracle _ -> state.core <- None
-    end
+    if preamble then
+      state.seed <-
+        (match state.source with
+        | Src_agreement ->
+            Agreeing (Seed_core.create params.Params.seed ~id:state.id ~rng:state.rng)
+        | Src_oracle _ -> Unseeded)
   end;
   if preamble && pos < params.Params.ts then
-    match state.core with
-    | Some core -> Seed_core.decide_action core ~local_round:pos
-    | None -> P.Listen (* oracle mode idles through the preamble *)
+    match state.seed with
+    | Agreeing core -> Seed_core.decide_action core ~local_round:pos
+    | Unseeded | Seeded _ -> P.Listen (* oracle mode idles through the preamble *)
   else begin
     (* First body round after a preamble: commit the phase's seed. *)
-    (match (state.source, state.core, state.cursor) with
-    | Src_agreement, Some _, _ -> commit_seed state
-    | Src_oracle _, _, None ->
+    (match (state.source, state.seed) with
+    | Src_agreement, Agreeing core -> commit_seed state core
+    | Src_oracle _, Unseeded ->
         let seed = oracle_seed state ~phase in
-        state.cursor <- Some (Prng.Bitstring.cursor seed);
+        open_cursor state seed;
         (* Owner -1 marks the magical global owner. *)
         queue_output state (Messages.Committed { Messages.owner = -1; seed })
-    | (Src_agreement | Src_oracle _), _, _ -> ());
+    | (Src_agreement | Src_oracle _), _ -> ());
     body_action state
   end
 
@@ -191,9 +206,9 @@ let absorb state ~round received =
   (match received with
   | Some (Messages.Seed_msg _ as msg) ->
       if in_preamble then
-        (match state.core with
-        | Some core -> Seed_core.absorb core ~local_round:pos (Some msg)
-        | None -> ())
+        (match state.seed with
+        | Agreeing core -> Seed_core.absorb core ~local_round:pos (Some msg)
+        | Unseeded | Seeded _ -> ())
   | Some (Messages.Data m) ->
       if not (Hashtbl.mem state.seen m) then begin
         Hashtbl.add state.seen m ();
@@ -201,9 +216,9 @@ let absorb state ~round received =
       end
   | None ->
       if in_preamble then (
-        match state.core with
-        | Some core -> Seed_core.absorb core ~local_round:pos None
-        | None -> ()));
+        match state.seed with
+        | Agreeing core -> Seed_core.absorb core ~local_round:pos None
+        | Unseeded | Seeded _ -> ()));
   (* Phase end: retire finished senders. *)
   if pos = phase_len - 1 then begin
     match state.mode with

@@ -26,7 +26,20 @@
 
     With [Params.seed_refresh = k > 1], only every k-th phase carries a
     preamble (§4.2's closing remark); the other phases are pure body and
-    the committed seed is sized to last the whole cycle. *)
+    the committed seed is sized to last the whole cycle.
+
+    {b Cost.}  Only a sender reads the shared bits.  A receiving node's
+    body round is a listen that touches neither its seed cursor nor its
+    generator; it counts the rounds it skipped, and a node promoted to
+    sending mid-cycle (possible only when [seed_refresh > 1]) replays
+    exactly those takes before its first body step, so every member of
+    a seed group still reads the same bits in the same round.  A body
+    round therefore costs O(1) per listener and O(bits per round) per
+    sender.  Under the default {!Radiosim.Scheduler.bernoulli} link
+    scheduler the engine then resolves only the transmitters' incident
+    edges; with a metrics registry attached, its [engine.active_edges]
+    and [scheduler.edges_resolved] counters still describe each
+    resolved round's full activation set, at O(m) per such round. *)
 
 type seed_source =
   | Agreement

@@ -16,20 +16,25 @@
     paper's {e configuration}; given the per-node RNGs it fully determines
     the execution.
 
-    Reception is resolved {e transmitter-centrically} over a {e sparse}
-    activation set: the round's active unreliable-edge indices are
-    materialized once into a reusable index buffer
-    ({!Scheduler.fill_active_sparse}), the round's unreliable adjacency
-    is built {e for those edges only}, and then only the round's
-    transmitters push (first-message, collision) state along their
-    reliable CSR slice plus that per-round adjacency into per-listener
-    scratch.  A round therefore costs O(T·Δ + active + n) for T
-    transmitters and [active] scheduled edges — the regime the
-    decay-ladder algorithms live in, where T is a small constant and,
-    under sparse link schedulers ({!Scheduler.bernoulli_sparse}),
-    [active ≈ p·m ≪ m] — instead of the listener-centric O(n·Δ') of
-    the frozen reference resolver ([Oracle.run_reference] in the
-    test-only [test/oracle] library).
+    Reception is resolved {e transmitter-centrically}: only the round's
+    transmitters push (first-message, collision) state into
+    per-listener scratch, along their reliable CSR slice and their
+    {e active} unreliable edges.  How those edges are found is fixed
+    per run by {!Scheduler.resolves_sparsely}.  A per-edge scheduler
+    ({!Scheduler.bernoulli}, {!Scheduler.make}) is asked
+    {!Scheduler.active} for each transmitter's incident unreliable
+    edges only ({!Dualgraph.Dual.unreliable_incidence_csr}), so a
+    round costs O(T·Δ' + n) for T transmitters, whatever m is.  A
+    natively sparse scheduler ({!Scheduler.bernoulli_sparse}, the
+    constant and periodic ones) and an adaptive adversary instead
+    materialize the round's active set once into a reusable index
+    buffer ({!Scheduler.fill_active_sparse}), and the round's
+    unreliable adjacency is built {e for those edges only}: O(T·Δ +
+    active + n), with [active ≈ p·m ≪ m] for the sparse schedulers.
+    Either way this is the regime the decay-ladder algorithms live in,
+    where T is a small constant, instead of the listener-centric
+    O(n·Δ') of the frozen reference resolver ([Oracle.run_reference]
+    in the test-only [test/oracle] library).
 
     Within a round the engine calls the closures it is given in a fixed
     order: every [env.inputs] (ascending node order, dead nodes
@@ -84,13 +89,16 @@ val run :
     [metrics], when given, registers two counters on the registry and
     advances them once per round in which the activation set is resolved
     (rounds with at least one transmitter and at least one unreliable
-    edge): [engine.active_edges] accumulates the size of each round's
-    active set, and [scheduler.edges_resolved] the number of per-edge
-    resolutions the scheduler performed to produce it — equal to the
-    active count for natively sparse schedulers
-    ({!Scheduler.resolves_sparsely}) and to the unreliable edge count
-    for dense ones.  Their ratio is the measured win of the sparse
-    path.  As with [sink], absence means the counting code never
+    edge).  Both describe the round's {e full} activation set, as a
+    batch fill ({!Scheduler.fill_active_sparse}) reads it:
+    [engine.active_edges] accumulates its size, and
+    [scheduler.edges_resolved] the number of per-edge resolutions that
+    fill performs — equal to the active count for natively sparse
+    schedulers ({!Scheduler.resolves_sparsely}) and to the unreliable
+    edge count m for per-edge ones.  Under a per-edge scheduler the
+    round itself asks only the transmitters' edges, so the registry
+    adds one O(m) fill per resolved round that an unmetered run never
+    pays.  As with [sink], absence means the counting code never
     runs.
 
     [faults], when given, attaches a {!Faults.Plan} (whose node count
@@ -157,16 +165,3 @@ val run_adaptive :
     default): the adversary's whole power is ruling on unreliable
     edges, which SINR ignores — passing an SINR model raises
     [Invalid_argument] rather than silently dropping the adversary. *)
-
-val transmitter_counts :
-  dual:Dualgraph.Dual.t ->
-  scheduler:Scheduler.t ->
-  round:int ->
-  transmitting:bool array ->
-  unit ->
-  int array
-(** Diagnostic: for the given transmitting set, the number of
-    topology-neighbors of each node that transmit in [round] (the
-    contention each listener faces).  Used by tests to cross-check the
-    engine's collision rule.  Walks each transmitter's reliable and
-    unreliable CSR incidence, asking {!Scheduler.active} per edge. *)

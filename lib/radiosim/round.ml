@@ -99,12 +99,28 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
   let g_off = Graph.csr_offsets (Dual.g dual) in
   let g_adj = Graph.csr_neighbors (Dual.g dual) in
   let m = Dual.unreliable_count dual in
+  (* How the resolve reaches unreliable edges, chosen once per run.  A
+     scheduler that resolves every edge anyway ({!Scheduler.resolves_sparsely}
+     false) is asked per edge, for the round's transmitters' incident
+     edges only — O(T·Δ') instead of O(m), and no adjacency to build.
+     Natively sparse schedulers and adaptive adversaries fill the
+     round's activation set in one batch instead (see [fill_sparse]),
+     and the push walks the adjacency built over it. *)
+  let per_edge =
+    match source with
+    | Oblivious s when not (Scheduler.resolves_sparsely s) ->
+        Some (Scheduler.active s)
+    | Oblivious _ | Adaptive _ -> None
+  in
+  let batch = Option.is_none per_edge in
+  let inc_off, inc_nbr, inc_edge = Dual.unreliable_incidence_csr dual in
   (* The activation source writes the round's active unreliable-edge
      indices (ascending) into [sparse] and returns their count; an
      oblivious scheduler ignores the transmission vector, an adaptive
      adversary rules on every edge after seeing it.  [resolved_of count]
      is the number of per-edge resolutions that took — it only feeds
-     [scheduler.edges_resolved]. *)
+     [scheduler.edges_resolved].  Under [per_edge] it runs only to feed
+     the two counters, so they describe the full activation set. *)
   let fill_sparse, resolved_of =
     match source with
     | Oblivious s ->
@@ -123,26 +139,38 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
             !c),
           fun _ -> m )
   in
-  (* Unreliable edge endpoints in flat form, plus the round's sparse
-     activation buffer and the intrusive per-round adjacency over the
-     active edges only (slots 2j and 2j+1 belong to the j-th active
-     edge; heads are reset edge by edge after the round). *)
-  let eu = Array.make (max m 1) 0 and ev = Array.make (max m 1) 0 in
-  Array.iteri
-    (fun i (u, v) ->
-      eu.(i) <- u;
-      ev.(i) <- v)
-    (Dual.unreliable_edges dual);
-  let sparse = Array.make (max m 1) 0 in
-  let adj_head = Array.make n (-1) in
-  let adj_next = Array.make (max (2 * m) 1) 0 in
-  let adj_nbr = Array.make (max (2 * m) 1) 0 in
+  (* Batch form only: unreliable edge endpoints in flat form, plus the
+     intrusive per-round adjacency over the active edges only (slots 2j
+     and 2j+1 belong to the j-th active edge; heads are reset edge by
+     edge after the round).  The activation buffer [sparse] also serves
+     the per-edge form's counters. *)
+  let batch_len = if batch then max m 1 else 0 in
+  let eu = Array.make batch_len 0 and ev = Array.make batch_len 0 in
+  if batch then
+    Array.iteri
+      (fun i (u, v) ->
+        eu.(i) <- u;
+        ev.(i) <- v)
+      (Dual.unreliable_edges dual);
+  let sparse =
+    Array.make (if batch || Option.is_some metrics then max m 1 else 0) 0
+  in
+  let adj_head = Array.make (if batch then n else 0) (-1) in
+  let adj_next = Array.make (2 * batch_len) 0 in
+  let adj_nbr = Array.make (2 * batch_len) 0 in
   let ctr_active, ctr_resolved =
     match metrics with
     | None -> (None, None)
     | Some reg ->
         ( Some (Obs.Metrics.counter reg "engine.active_edges"),
           Some (Obs.Metrics.counter reg "scheduler.edges_resolved") )
+  in
+  let count_active count =
+    match ctr_active with
+    | None -> ()
+    | Some c ->
+        Obs.Metrics.incr ~by:count c;
+        Option.iter (Obs.Metrics.incr ~by:(resolved_of count)) ctr_resolved
   in
   let ctr_crash, ctr_restart, ctr_jam =
     match (metrics, faults) with
@@ -225,10 +253,13 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
     jam_hits.(i) <- !jams
   in
   (* Resolve, dual-graph model: each tile's transmitters push along their
-     reliable CSR slice and the round's active adjacency.  Receptions of
-     the tile's own listeners land in [heard]; foreign ones go to the
-     (source, destination) outbox — the halo exchange. *)
+     reliable CSR slice and their active unreliable edges — asked of the
+     scheduler per incident edge, or read off the round's active
+     adjacency.  Receptions of the tile's own listeners land in [heard];
+     foreign ones go to the (source, destination) outbox — the halo
+     exchange. *)
   let phase_push i =
+    let t = !round in
     let txb = tx.(i) and tb = touched.(i) in
     let send w v =
       let b = outbox.(i).(owner.(w)) in
@@ -242,13 +273,23 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
         if one || Array.unsafe_get owner w = i then fold heard tb w v
         else send w v
       done;
-      let j = ref (Array.unsafe_get adj_head v) in
-      while !j >= 0 do
-        let w = Array.unsafe_get adj_nbr !j in
-        if one || Array.unsafe_get owner w = i then fold heard tb w v
-        else send w v;
-        j := Array.unsafe_get adj_next !j
-      done
+      match per_edge with
+      | Some active ->
+          for j = Array.unsafe_get inc_off v to Array.unsafe_get inc_off (v + 1) - 1 do
+            if active ~round:t ~edge:(Array.unsafe_get inc_edge j) then begin
+              let w = Array.unsafe_get inc_nbr j in
+              if one || Array.unsafe_get owner w = i then fold heard tb w v
+              else send w v
+            end
+          done
+      | None ->
+          let j = ref (Array.unsafe_get adj_head v) in
+          while !j >= 0 do
+            let w = Array.unsafe_get adj_nbr !j in
+            if one || Array.unsafe_get owner w = i then fold heard tb w v
+            else send w v;
+            j := Array.unsafe_get adj_next !j
+          done
     done
   in
   (* Resolve, SINR model: tile i owns slots [i·n/k, (i+1)·n/k) of the
@@ -399,15 +440,9 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
             Sinr.load_round f ~transmitters:txs.data ~count:!tcount;
             par phase_sinr
         | None ->
-            if m > 0 then begin
+            if m > 0 && batch then begin
               acount := fill_sparse ~round:t ~transmitting sparse;
-              (match ctr_active with
-              | None -> ()
-              | Some c ->
-                  Obs.Metrics.incr ~by:!acount c;
-                  Option.iter
-                    (Obs.Metrics.incr ~by:(resolved_of !acount))
-                    ctr_resolved);
+              count_active !acount;
               for j = 0 to !acount - 1 do
                 let e = Array.unsafe_get sparse j in
                 let a = Array.unsafe_get eu e and b = Array.unsafe_get ev e in
@@ -419,7 +454,9 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
                   (Array.unsafe_get adj_head b);
                 Array.unsafe_set adj_head b ((2 * j) + 1)
               done
-            end;
+            end
+            else if m > 0 && Option.is_some ctr_active then
+              count_active (fill_sparse ~round:t ~transmitting sparse);
             par phase_push
       end;
       par phase_absorb;

@@ -32,22 +32,30 @@ val fill_active_sparse : t -> round:int -> m:int -> int array -> int
     proportional to its size, instead of resolving all [m] edges.  Raises
     [Invalid_argument] if [m < 0] or [buf] is shorter than [m].
 
-    Domain safety: both engines resolve the activation set exactly once
-    per round from a single domain ({!Tiled.run} does so on its
-    coordinator, never from tile workers), so a scheduler needs no
-    internal synchronization — but see {!bernoulli_sparse} for why one
-    [t] value must still not be shared across concurrently running
-    engine instances. *)
+    Domain safety: the round core picks one of two forms per run.  A
+    natively sparse scheduler ({!resolves_sparsely}) has its activation
+    set filled by this function once per round from a single domain
+    ({!Tiled.run} does so on its coordinator), so it needs no internal
+    synchronization — but see {!bernoulli_sparse} for why one [t] value
+    must still not be shared across concurrently running engine
+    instances.  Any other scheduler ({!make}, {!bernoulli}) is asked
+    {!active} per unreliable edge incident to a transmitter, from the
+    tile workers concurrently under {!Tiled.run}; such a scheduler must
+    therefore be pure, as {!make} already requires. *)
 
 val resolves_sparsely : t -> bool
 (** Whether {!fill_active_sparse} does work proportional to the emitted
     set ([true]) rather than resolving every edge per round ([false] —
     the derived fallback used by {!make} and hash-per-edge schedulers
-    like {!bernoulli}).  Feeds the [scheduler.edges_resolved]
-    observability counter; see [docs/OBSERVABILITY.md]. *)
+    like {!bernoulli}).  Selects how the round core resolves a
+    scheduler: [true] fills the round's set in one batch, [false] asks
+    {!active} for the transmitters' incident edges only.  Also feeds
+    the [scheduler.edges_resolved] observability counter; see
+    [docs/OBSERVABILITY.md]. *)
 
 val make : name:string -> (round:int -> edge:int -> bool) -> t
-(** Build a custom scheduler.  The function must be pure; the batch
+(** Build a custom scheduler.  The function must be pure (the round
+    core may call it from several domains at once); the batch
     {!fill_active_sparse} form is derived from it. *)
 
 val reliable_only : t
@@ -60,10 +68,11 @@ val all_edges : t
 
 val bernoulli : seed:int -> p:float -> t
 (** Each (edge, round) pair is included independently with probability
-    [p], via a hash of the pair — oblivious by construction.  Resolving
-    a round costs one hash per edge; for sweeps where [p·m] is small,
-    {!bernoulli_sparse} has the same distribution at cost proportional
-    to the active set. *)
+    [p], via a hash of the pair — oblivious by construction and pure.
+    The round core hashes only the transmitters' incident edges; a
+    batch fill costs one hash per edge.  For sweeps where [p·m] is
+    small, {!bernoulli_sparse} has the same distribution at cost
+    proportional to the active set. *)
 
 val bernoulli_sparse : seed:int -> p:float -> t
 (** Distributionally equivalent to {!bernoulli} — each (edge, round)

@@ -10,8 +10,12 @@
       environment is {!Env.pure_inputs}), then steps their [decide],
       and records its transmitters;
     + {b resolve} — under the dual-graph model each tile's transmitters
-      push along their reliable CSR slice and the round's active
-      unreliable adjacency.  Receptions for listeners the tile owns land
+      push along their reliable CSR slice and their active unreliable
+      edges: a per-edge scheduler ({!Scheduler.resolves_sparsely}
+      false, e.g. {!Scheduler.bernoulli}) is asked about each incident
+      edge from the tile's own worker, and otherwise the round's active
+      adjacency, built by the coordinator, is walked.  Receptions for
+      listeners the tile owns land
       directly in the shared per-listener accumulator; receptions for
       foreign listeners are appended to a per-(source, destination) tile
       outbox — the {e halo exchange};
@@ -20,7 +24,8 @@
 
     Between phases the coordinator runs the serial spine in ascending
     node order: fault transitions, impure input polling, activation +
-    adjacency build, event emission, [notify], observer and stop.
+    adjacency build (batch-form schedulers, and the counters of a
+    metered run), event emission, [notify], observer and stop.
 
     This is the same round core {!Engine.run} runs on one tile — the
     sequential engine is its one-tile case, with no tiling state and no

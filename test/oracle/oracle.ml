@@ -1014,3 +1014,293 @@ module Sinr_dense = struct
     if best < 0 then (-1, 0.0, far +. noise_floor t ~jammed)
     else (best, best_pw, sum -. best_pw +. far +. noise_floor t ~jammed)
 end
+
+(* The engine's collision rule restated per transmitter: for a given
+   transmitting set, the number of topology-neighbors of each node that
+   transmit in [round], asking the scheduler per incident unreliable
+   edge.  Moved out of Radiosim.Engine once the engine resolved a
+   per-edge scheduler the same way. *)
+let transmitter_counts ~dual ~scheduler ~round ~transmitting () =
+  let n = Dual.n dual in
+  if Array.length transmitting <> n then
+    invalid_arg "Oracle.transmitter_counts: size mismatch";
+  let counts = Array.make n 0 in
+  let bump u = counts.(u) <- counts.(u) + 1 in
+  for v = 0 to n - 1 do
+    if transmitting.(v) then begin
+      Dual.iter_reliable_neighbors dual v bump;
+      Dual.iter_unreliable_incident dual v (fun u edge ->
+          if Scheduler.active scheduler ~round ~edge then bump u)
+    end
+  done;
+  counts
+
+(* Lemma C.1's decomposition reconstructed from recorded LBAlg traces,
+   as it stood in Localcast before it moved here: its only user was the
+   test suite. *)
+module Lb_probe = struct
+  module Lb_alg = Localcast.Lb_alg
+  module Messages = Localcast.Messages
+  module Params = Localcast.Params
+
+  type contention = {
+    body_rounds : int;
+    silent : int;
+    single : int;
+    collision : int;
+  }
+
+  let reception_rate c =
+    if c.body_rounds = 0 then 0.0
+    else float_of_int c.single /. float_of_int c.body_rounds
+
+  let contention_profile ~dual ~scheduler ~params ~node trace =
+    let body_rounds = ref 0 and silent = ref 0 and single = ref 0 in
+    let collision = ref 0 in
+    Trace.iter
+      (fun record ->
+        if not (Lb_alg.is_preamble_round params record.Trace.round) then begin
+          incr body_rounds;
+          let transmitting =
+            Array.map
+              (function Process.Transmit _ -> true | Process.Listen -> false)
+              record.Trace.actions
+          in
+          let counts =
+            transmitter_counts ~dual ~scheduler ~round:record.Trace.round
+              ~transmitting ()
+          in
+          match counts.(node) with
+          | 0 -> incr silent
+          | 1 -> incr single
+          | _ -> incr collision
+        end)
+      trace;
+    {
+      body_rounds = !body_rounds;
+      silent = !silent;
+      single = !single;
+      collision = !collision;
+    }
+
+  let committed_owners ~params ~n ~phase trace =
+    let owners = Array.make n None in
+    let phase_len = params.Params.phase_len in
+    Trace.iter
+      (fun record ->
+        if record.Trace.round / phase_len = phase then
+          Array.iteri
+            (fun v outs ->
+              List.iter
+                (fun out ->
+                  match out with
+                  | Messages.Committed { Messages.owner; _ } ->
+                      owners.(v) <- Some owner
+                  | Messages.Recv _ | Messages.Ack _ -> ())
+                outs)
+            record.Trace.outputs)
+      trace;
+    owners
+
+  let groups_in_neighborhood ~dual ~owners ~node =
+    let seen = Hashtbl.create 8 in
+    let absorb v =
+      match owners.(v) with
+      | Some owner -> Hashtbl.replace seen owner ()
+      | None -> ()
+    in
+    absorb node;
+    Dual.iter_all_neighbors dual node absorb;
+    Hashtbl.length seen
+end
+
+(* LBAlg's node, frozen as it stood while every node holding a committed
+   seed walked its cursor in every body round, sending or not. *)
+module Lb_alg = struct
+  module Messages = Localcast.Messages
+  module Params = Localcast.Params
+  module Seed_core = Localcast.Seed_core
+
+  type source = Src_agreement | Src_oracle of int64
+
+  type mode =
+    | Receiving
+    | Sending of { message : Messages.payload; mutable phases_left : int }
+
+  type state = {
+    params : Params.t;
+    id : int;
+    rng : Prng.Rng.t;
+    source : source;
+    seen : (Messages.payload, unit) Hashtbl.t;
+    mutable mode : mode;
+    mutable pending : Messages.payload option;
+    mutable core : Seed_core.t option;
+    mutable cursor : Prng.Bitstring.cursor option;
+    mutable pending_outputs : Messages.lb_output list;
+  }
+
+  let has_preamble params phase =
+    params.Params.seed_refresh = 1 || phase mod params.Params.seed_refresh = 0
+
+  let resolve_source = function
+    | Localcast.Lb_alg.Agreement -> Src_agreement
+    | Localcast.Lb_alg.Oracle shared ->
+        Src_oracle (Prng.Rng.bits64 (Prng.Rng.copy shared))
+
+  let oracle_seed state ~phase =
+    match state.source with
+    | Src_agreement -> assert false
+    | Src_oracle base ->
+        let derived =
+          Prng.Rng.create (Prng.Rng.mix (Int64.add base (Int64.of_int phase)))
+        in
+        Prng.Bitstring.random derived state.params.Params.seed.Params.kappa
+
+  let queue_output state out =
+    state.pending_outputs <- out :: state.pending_outputs
+
+  let commit_seed state =
+    match state.core with
+    | None -> ()
+    | Some core ->
+        Seed_core.finalize core;
+        (match Seed_core.decision core with
+        | Some announcement ->
+            state.cursor <- Some (Prng.Bitstring.cursor announcement.Messages.seed);
+            queue_output state (Messages.Committed announcement)
+        | None -> assert false);
+        state.core <- None
+
+  let body_action state =
+    match state.cursor with
+    | None -> Process.Listen
+    | Some cursor ->
+        let params = state.params in
+        let participant =
+          Prng.Bitstring.take_all_zero cursor params.Params.participant_bits
+        in
+        if not participant then Process.Listen
+        else begin
+          let b =
+            if params.Params.level_bits = 0 then 1
+            else begin
+              let m = params.Params.log_delta in
+              let limit = (1 lsl params.Params.level_bits) / m * m in
+              let chosen = ref (-1) in
+              let last = ref 0 in
+              for _ = 1 to params.Params.level_draws do
+                let v = Prng.Bitstring.take_int cursor params.Params.level_bits in
+                last := v;
+                if !chosen < 0 && v < limit then chosen := v
+              done;
+              (if !chosen >= 0 then !chosen mod m else !last mod m) + 1
+            end
+          in
+          match state.mode with
+          | Sending { message; _ } when Prng.Rng.geometric_trial state.rng b ->
+              Process.Transmit (Messages.Data message)
+          | Sending _ | Receiving -> Process.Listen
+        end
+
+  let decide state ~round inputs =
+    let params = state.params in
+    List.iter
+      (function
+        | Messages.Bcast m ->
+            assert (state.pending = None && state.mode = Receiving);
+            state.pending <- Some m)
+      inputs;
+    let phase_len = params.Params.phase_len in
+    let phase = round / phase_len in
+    let pos = round - (phase * phase_len) in
+    let preamble = has_preamble params phase in
+    if pos = 0 then begin
+      (match (state.mode, state.pending) with
+      | Receiving, Some m ->
+          state.mode <-
+            Sending { message = m; phases_left = params.Params.tack_phases };
+          state.pending <- None
+      | _ -> ());
+      if preamble then begin
+        state.cursor <- None;
+        match state.source with
+        | Src_agreement ->
+            state.core <-
+              Some (Seed_core.create params.Params.seed ~id:state.id ~rng:state.rng)
+        | Src_oracle _ -> state.core <- None
+      end
+    end;
+    if preamble && pos < params.Params.ts then
+      match state.core with
+      | Some core -> Seed_core.decide_action core ~local_round:pos
+      | None -> Process.Listen
+    else begin
+      (match (state.source, state.core, state.cursor) with
+      | Src_agreement, Some _, _ -> commit_seed state
+      | Src_oracle _, _, None ->
+          let seed = oracle_seed state ~phase in
+          state.cursor <- Some (Prng.Bitstring.cursor seed);
+          queue_output state (Messages.Committed { Messages.owner = -1; seed })
+      | (Src_agreement | Src_oracle _), _, _ -> ());
+      body_action state
+    end
+
+  let absorb state ~round received =
+    let params = state.params in
+    let phase_len = params.Params.phase_len in
+    let phase = round / phase_len in
+    let pos = round - (phase * phase_len) in
+    let in_preamble = has_preamble params phase && pos < params.Params.ts in
+    (match received with
+    | Some (Messages.Seed_msg _ as msg) ->
+        if in_preamble then
+          Option.iter
+            (fun core -> Seed_core.absorb core ~local_round:pos (Some msg))
+            state.core
+    | Some (Messages.Data m) ->
+        if not (Hashtbl.mem state.seen m) then begin
+          Hashtbl.add state.seen m ();
+          queue_output state (Messages.Recv m)
+        end
+    | None ->
+        if in_preamble then
+          Option.iter
+            (fun core -> Seed_core.absorb core ~local_round:pos None)
+            state.core);
+    (if pos = phase_len - 1 then
+       match state.mode with
+       | Sending s ->
+           s.phases_left <- s.phases_left - 1;
+           if s.phases_left = 0 then begin
+             queue_output state (Messages.Ack s.message);
+             state.mode <- Receiving
+           end
+       | Receiving -> ());
+    let outs = List.rev state.pending_outputs in
+    state.pending_outputs <- [];
+    outs
+
+  let node ?(seed_source = Localcast.Lb_alg.Agreement) params ~id ~rng =
+    let state =
+      {
+        params;
+        id;
+        rng;
+        source = resolve_source seed_source;
+        seen = Hashtbl.create 32;
+        mode = Receiving;
+        pending = None;
+        core = None;
+        cursor = None;
+        pending_outputs = [];
+      }
+    in
+    {
+      Process.decide = (fun ~round inputs -> decide state ~round inputs);
+      absorb = (fun ~round received -> absorb state ~round received);
+    }
+
+  let network ?seed_source params ~rng ~n =
+    Array.init n (fun id -> node ?seed_source params ~id ~rng:(Prng.Rng.split rng))
+end

@@ -201,3 +201,94 @@ module Sinr_dense : sig
       jam.  The listener decodes [best] iff
       [signal >= beta · interference]. *)
 end
+
+val transmitter_counts :
+  dual:Dualgraph.Dual.t ->
+  scheduler:Radiosim.Scheduler.t ->
+  round:int ->
+  transmitting:bool array ->
+  unit ->
+  int array
+(** For the given transmitting set, the number of topology-neighbors of
+    each node that transmit in [round] (the contention each listener
+    faces), asking {!Radiosim.Scheduler.active} per incident unreliable
+    edge.  The property suite cross-checks the engine's collision rule
+    with it. *)
+
+(** Post-hoc analytics over recorded LBAlg traces (Lemma C.1's
+    decomposition): a body round seen from one receiver is silent, a
+    single transmission or a collision, and each node's committed seed
+    owner per phase gives the seed groups of a neighborhood.  Pure trace
+    analyses; they never perturb an execution. *)
+module Lb_probe : sig
+  type contention = {
+    body_rounds : int;  (** body rounds examined *)
+    silent : int;  (** rounds with no transmitting topology-neighbor *)
+    single : int;  (** rounds with exactly one (a clean reception) *)
+    collision : int;  (** rounds with two or more *)
+  }
+
+  val reception_rate : contention -> float
+  (** [single / body_rounds] — the empirical p_u. *)
+
+  val contention_profile :
+    dual:Dualgraph.Dual.t ->
+    scheduler:Radiosim.Scheduler.t ->
+    params:Localcast.Params.t ->
+    node:int ->
+    ( Localcast.Messages.msg,
+      Localcast.Messages.lb_input,
+      Localcast.Messages.lb_output )
+    Radiosim.Trace.t ->
+    contention
+  (** Classify every body round of the trace by the number of
+      transmitting neighbors the node faces under the given link
+      schedule (which must be the schedule the trace was produced
+      under). *)
+
+  val committed_owners :
+    params:Localcast.Params.t ->
+    n:int ->
+    phase:int ->
+    ( Localcast.Messages.msg,
+      Localcast.Messages.lb_input,
+      Localcast.Messages.lb_output )
+    Radiosim.Trace.t ->
+    int option array
+  (** The seed owner each node committed for the given phase ([None]
+      when the trace does not cover that phase's commit, e.g. a
+      non-refresh phase under [seed_refresh > 1]). *)
+
+  val groups_in_neighborhood :
+    dual:Dualgraph.Dual.t -> owners:int option array -> node:int -> int
+  (** Distinct committed owners across the node's closed
+      G'-neighborhood — the [k <= δ] of Lemma C.1. *)
+end
+
+(** {!Localcast.Lb_alg}'s node, frozen as it stood while every node
+    holding a committed seed took the participant and level bits in
+    every body round, sending or not.  The property suite holds the
+    production node, whose listeners skip those takes and a promoted
+    sender replays them, to identical traces. *)
+module Lb_alg : sig
+  val node :
+    ?seed_source:Localcast.Lb_alg.seed_source ->
+    Localcast.Params.t ->
+    id:int ->
+    rng:Prng.Rng.t ->
+    ( Localcast.Messages.msg,
+      Localcast.Messages.lb_input,
+      Localcast.Messages.lb_output )
+    Radiosim.Process.node
+
+  val network :
+    ?seed_source:Localcast.Lb_alg.seed_source ->
+    Localcast.Params.t ->
+    rng:Prng.Rng.t ->
+    n:int ->
+    ( Localcast.Messages.msg,
+      Localcast.Messages.lb_input,
+      Localcast.Messages.lb_output )
+    Radiosim.Process.node
+    array
+end

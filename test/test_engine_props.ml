@@ -56,7 +56,7 @@ let expected_delivery ~dual ~scheduler ~record u =
           record.Trace.actions
       in
       let counts =
-        Engine.transmitter_counts ~dual ~scheduler ~round:record.Trace.round
+        Oracle.transmitter_counts ~dual ~scheduler ~round:record.Trace.round
           ~transmitting ()
       in
       if counts.(u) <> 1 then None

@@ -50,6 +50,93 @@ let random_run seed =
   in
   (dual, params, trace, Lb_spec.finish monitor, envt)
 
+(* The lazy seed cursor against the frozen walking node
+   (Oracle.Lb_alg).  Senders saturate from a random round of the first
+   seed cycle, so under seed_refresh > 1 listeners are promoted at
+   phase boundaries without a preamble and must replay the takes they
+   skipped; half the runs add churn with fresh-state revival.  Returns
+   every round record, copied. *)
+let cursor_run ~frozen seed =
+  let rng = Rng.of_int seed in
+  let n = 3 + Rng.int rng 10 in
+  let dual =
+    Geo.random_field ~rng ~n ~width:2.5 ~height:2.5 ~r:1.5 ~gray_g':0.5 ()
+  in
+  let seed_refresh = 1 + Rng.int rng 3 in
+  let params =
+    Params.of_dual ~tack_phases:(1 + Rng.int rng 3) ~seed_refresh ~eps1:0.25
+      dual
+  in
+  let seed_source =
+    if Rng.bool rng then Some (Lb_alg.Oracle (Rng.of_int (seed + 1))) else None
+  in
+  let phase_len = params.Params.phase_len in
+  let rounds = ((2 * seed_refresh) + 2) * phase_len in
+  let start = Rng.int rng (seed_refresh * phase_len) in
+  let senders = List.filter (fun _ -> Rng.bool rng) (List.init n Fun.id) in
+  let faults =
+    if Rng.bool rng then
+      Some
+        (Faults.Plan.churn ~seed ~n ~rounds ~rate:(1.0 /. float_of_int rounds)
+           ~downtime:(phase_len / 2) ())
+    else None
+  in
+  let revive =
+    Option.map
+      (fun _ ->
+        if frozen then fun ~node ~round ->
+          Oracle.Lb_alg.node ?seed_source params ~id:node
+            ~rng:(Rng.node_stream ~seed ~node ~round:(round + 1))
+        else Localcast.Service.reviver ?seed_source ~params ~seed ())
+      faults
+  in
+  let nodes =
+    let rng = Rng.of_int seed in
+    if frozen then Oracle.Lb_alg.network ?seed_source params ~rng ~n
+    else Lb_alg.network ?seed_source params ~rng ~n
+  in
+  let envt = Lb_env.saturate ~start ~n ~senders () in
+  let trace, observer = Trace.recorder () in
+  let (_ : int) =
+    Radiosim.Engine.run ~observer ?faults ?revive ~dual
+      ~scheduler:(Sch.bernoulli ~seed ~p:0.5)
+      ~nodes ~env:(Lb_env.env envt) ~rounds ()
+  in
+  List.init (Trace.length trace) (Trace.get trace)
+
+(* seed_refresh = 2: node 0 gets its bcast in the middle of phase 0, so
+   it listens through phase 0's body and is promoted at phase 1's
+   boundary, which carries no preamble.  Its first body step as a sender
+   must replay the skipped takes: without them it would read phase 1's
+   shared bits from the wrong position and diverge from its seed group
+   (the frozen node, which walked every round). *)
+let test_midcycle_promotion () =
+  let dual = Geo.clique 6 in
+  let params = Params.of_dual ~tack_phases:1 ~seed_refresh:2 ~eps1:0.25 dual in
+  let phase_len = params.Params.phase_len in
+  Alcotest.(check bool) "phase 1 has no preamble" false
+    (Lb_alg.is_preamble_round params phase_len);
+  let run network =
+    let nodes = network ~rng:(Rng.of_int 5) in
+    let envt = Lb_env.one_shot ~n:6 ~bcasts:[ (0, phase_len / 2) ] in
+    let trace, observer = Trace.recorder () in
+    let (_ : int) =
+      Radiosim.Engine.run ~observer ~dual ~scheduler:Sch.reliable_only ~nodes
+        ~env:(Lb_env.env envt) ~rounds:(2 * phase_len) ()
+    in
+    trace
+  in
+  let records trace = List.init (Trace.length trace) (Trace.get trace) in
+  let replayed = records (run (Lb_alg.network params ~n:6)) in
+  Alcotest.(check bool) "node 0 sends in phase 1" true
+    (List.exists
+       (fun r ->
+         r.Trace.round >= phase_len
+         && match r.Trace.actions.(0) with P.Transmit (M.Data _) -> true | _ -> false)
+       replayed);
+  Alcotest.(check bool) "trace equals the frozen walking node's" true
+    (replayed = records (run (Oracle.Lb_alg.network params ~n:6)))
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -157,6 +244,15 @@ let qcheck_cases =
                (Lb_env.log envt))
         in
         acked_entries = report.Lb_spec.ack_count);
+    Test.make
+      ~name:
+        "lazy seed cursor is trace-identical to the frozen walking node \
+         (seed_refresh 1-3, tack_phases 1-3, agreement and oracle seeds, churn)"
+      ~count:60 small_int
+      (fun seed -> cursor_run ~frozen:false seed = cursor_run ~frozen:true seed);
   ]
 
-let suite = List.map QCheck_alcotest.to_alcotest qcheck_cases
+let suite =
+  Alcotest.test_case "listener promoted mid-cycle replays its skipped takes"
+    `Quick test_midcycle_promotion
+  :: List.map QCheck_alcotest.to_alcotest qcheck_cases

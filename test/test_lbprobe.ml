@@ -1,4 +1,4 @@
-(* Tests for the Lb_probe trace analytics. *)
+(* Tests for the Lb_probe trace analytics (test/oracle). *)
 
 open Core
 
@@ -13,7 +13,7 @@ module M = Localcast.Messages
 module Params = Localcast.Params
 module Lb_alg = Localcast.Lb_alg
 module Lb_env = Localcast.Lb_env
-module Probe = Localcast.Lb_probe
+module Probe = Oracle.Lb_probe
 module Rng = Prng.Rng
 
 let run ~dual ~params ~senders ~phases ~scheduler ~rng_seed =

@@ -216,7 +216,7 @@ let test_transmitter_counts () =
   let dual = Geo.clique 4 in
   let transmitting = [| true; true; false; false |] in
   let counts =
-    Engine.transmitter_counts ~dual ~scheduler:Sch.reliable_only ~round:0
+    Oracle.transmitter_counts ~dual ~scheduler:Sch.reliable_only ~round:0
       ~transmitting ()
   in
   Alcotest.check (Alcotest.array Alcotest.int) "counts" [| 1; 1; 2; 2 |] counts
@@ -225,11 +225,11 @@ let test_transmitter_counts_unreliable () =
   let dual = Geo.line ~n:3 ~spacing:0.9 ~r:2.0 () in
   let transmitting = [| true; false; false |] in
   let on =
-    Engine.transmitter_counts ~dual ~scheduler:Sch.all_edges ~round:0
+    Oracle.transmitter_counts ~dual ~scheduler:Sch.all_edges ~round:0
       ~transmitting ()
   in
   let off =
-    Engine.transmitter_counts ~dual ~scheduler:Sch.reliable_only ~round:0
+    Oracle.transmitter_counts ~dual ~scheduler:Sch.reliable_only ~round:0
       ~transmitting ()
   in
   checki "node 2 sees 0 over grey edge (on)" 1 on.(2);
@@ -518,6 +518,84 @@ let test_engine_call_order () =
   Alcotest.check pp "Engine.run_adaptive" expected (run `Adaptive);
   Alcotest.check pp "Tiled.run ~tiles:1" expected (run `Tiled)
 
+(* A 300-node field whose nodes each transmit with probability 0.01 per
+   round, recorded under [scheduler] with an optional registry. *)
+let sparse_field_run ?metrics ~scheduler () =
+  let rng = Prng.Rng.of_int 17 in
+  let n = 300 in
+  let dual =
+    Geo.random_field ~rng ~n ~width:12.0 ~height:12.0 ~r:1.5 ~gray_g':0.5 ()
+  in
+  let nodes =
+    Array.init n (fun src ->
+        let node_rng = Prng.Rng.split rng in
+        let message = M.Data (M.payload ~src ~uid:0 ()) in
+        {
+          P.decide =
+            (fun ~round:_ _ ->
+              if Prng.Rng.bernoulli node_rng 0.01 then P.Transmit message
+              else P.Listen);
+          absorb = (fun ~round:_ _ -> []);
+        })
+  in
+  let transmitters = ref [] in
+  let observer r =
+    let tx = ref [] in
+    Array.iteri
+      (fun v a -> match a with P.Transmit _ -> tx := v :: !tx | P.Listen -> ())
+      r.Trace.actions;
+    transmitters := (r.Trace.round, !tx) :: !transmitters
+  in
+  let (_ : int) =
+    Engine.run ~observer ?metrics ~dual ~scheduler ~nodes
+      ~env:(Env.null ~name:"sparse-field" ()) ~rounds:40 ()
+  in
+  (dual, List.rev !transmitters)
+
+(* A per-edge scheduler (Sch.make) is asked only about the unreliable
+   edges incident to the round's transmitters, never about all m. *)
+let test_per_edge_resolution_is_transmitter_local () =
+  let base = Sch.bernoulli ~seed:3 ~p:0.5 in
+  let asked = Hashtbl.create 64 in
+  let asked_in round = Option.value ~default:0 (Hashtbl.find_opt asked round) in
+  let scheduler =
+    Sch.make ~name:"counting" (fun ~round ~edge ->
+        Hashtbl.replace asked round (asked_in round + 1);
+        Sch.active base ~round ~edge)
+  in
+  let dual, rounds = sparse_field_run ~scheduler () in
+  let off, _, _ = Dual.unreliable_incidence_csr dual in
+  let m = Dual.unreliable_count dual in
+  let busy = List.filter (fun (_, tx) -> tx <> []) rounds in
+  checkb "some rounds have transmitters" true (busy <> []);
+  List.iter
+    (fun (round, tx) ->
+      let degree = List.fold_left (fun a v -> a + off.(v + 1) - off.(v)) 0 tx in
+      if asked_in round > degree then
+        Alcotest.failf "round %d: %d queries for %d transmitters' %d edges (m = %d)"
+          round (asked_in round) (List.length tx) degree m)
+    busy
+
+(* With a registry, the counters still describe each resolved round's
+   full activation set, as a batch fill of the same scheduler reads it. *)
+let test_metered_counters_count_full_set () =
+  let scheduler = Sch.bernoulli ~seed:3 ~p:0.5 in
+  let metrics = Obs.Metrics.create () in
+  let dual, rounds = sparse_field_run ~metrics ~scheduler () in
+  let m = Dual.unreliable_count dual in
+  let buf = Array.make m 0 in
+  let active, resolved =
+    List.fold_left
+      (fun (a, r) (round, tx) ->
+        if tx = [] then (a, r)
+        else (a + Sch.fill_active_sparse scheduler ~round ~m buf, r + m))
+      (0, 0) rounds
+  in
+  let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter metrics name) in
+  checkb "resolved some rounds" true (resolved > 0);
+  checki "engine.active_edges" active (counter "engine.active_edges");
+  checki "scheduler.edges_resolved" resolved (counter "scheduler.edges_resolved")
+
 let suite =
   List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
     [
@@ -540,6 +618,10 @@ let suite =
       ("engine determinism", test_engine_determinism);
       ("transmitter counts", test_transmitter_counts);
       ("transmitter counts unreliable", test_transmitter_counts_unreliable);
+      ( "per-edge scheduler asked only about transmitters' edges",
+        test_per_edge_resolution_is_transmitter_local );
+      ( "metered counters count the full activation set",
+        test_metered_counters_count_full_set );
       ( "scheduler fill_active_sparse agrees with active",
         test_scheduler_fill_active_sparse );
       ( "bernoulli_sparse matches bernoulli in distribution",

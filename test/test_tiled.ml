@@ -145,6 +145,47 @@ let run_one ~engine ~tiles ~rounds seed =
     counters = snap.Obs.Metrics.counters;
   }
 
+(* The paper's LB stack on the round core: LBAlg nodes under the
+   default bernoulli scheduler (resolved per transmitter edge, on tile
+   workers once tiled), saturating senders (an impure environment, so
+   the coordinator polls it), the fault shapes above and fresh-state
+   revival through Service.reviver. *)
+let lb_run ~engine ~tiles seed =
+  let rng = Rng.of_int seed in
+  let n = 4 + Rng.int rng 20 in
+  let dual =
+    Geo.random_field ~rng ~n ~width:3.0 ~height:3.0 ~r:1.5 ~gray_g':0.5 ()
+  in
+  let params =
+    Localcast.Params.of_dual ~seed_refresh:(1 + Rng.int rng 2) ~eps1:0.25 dual
+  in
+  let rounds = 2 * params.Localcast.Params.phase_len in
+  let senders = List.filter (fun _ -> Rng.int rng 3 = 0) (List.init n Fun.id) in
+  let faults = faults_of_seed ~n ~rounds seed in
+  let nodes = Localcast.Lb_alg.network params ~rng:(Rng.of_int seed) ~n in
+  let env = Localcast.Lb_env.(env (saturate ~n ~senders ())) in
+  let revive = Localcast.Service.reviver ~params ~seed () in
+  let scheduler = Sch.bernoulli ~seed ~p:0.5 in
+  let sink = Obs.Sink.create ~capacity:(max 65536 (rounds * ((2 * n) + 8))) () in
+  let metrics = Obs.Metrics.create () in
+  let trace, observer = Trace.recorder () in
+  let executed =
+    if engine then
+      Engine.run ~observer ~sink ~metrics ?faults ~revive ~dual ~scheduler
+        ~nodes ~env ~rounds ()
+    else
+      Tiled.run ~observer ~sink ~metrics ?faults ~revive ~tiles ~dual
+        ~scheduler ~nodes ~env ~rounds ()
+  in
+  let buf = Buffer.create 4096 in
+  Obs.Sink.iter sink (fun ev ->
+      Buffer.add_string buf (Obs.Event.to_json ev);
+      Buffer.add_char buf '\n');
+  ( executed,
+    List.init (Trace.length trace) (Trace.get trace),
+    Buffer.contents buf,
+    (Obs.Metrics.snapshot ~label:"end" metrics).Obs.Metrics.counters )
+
 let executions_equal a b =
   a.executed = b.executed && a.records = b.records
   && String.equal a.events b.events
@@ -414,6 +455,14 @@ let qcheck_cases =
         List.for_all
           (fun tiles -> run_plain ~how:(`Tiled tiles) ~rounds seed = reference)
           [ 1; 2; 4 ]);
+    Test.make
+      ~name:
+        "tile obliviousness: LBAlg under bernoulli at tiles 1 and 2 equals \
+         Engine.run (records, events, metrics) under faults and revival"
+      ~count:12 small_int
+      (fun seed ->
+        let base = lb_run ~engine:true ~tiles:1 seed in
+        List.for_all (fun tiles -> lb_run ~engine:false ~tiles seed = base) [ 1; 2 ]);
   ]
 
 let suite =
