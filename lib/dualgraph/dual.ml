@@ -146,7 +146,6 @@ let all_neighbors t u = Graph.neighbors t.g' u
 let iter_reliable_neighbors t u f = Graph.iter_neighbors t.g u f
 let iter_all_neighbors t u f = Graph.iter_neighbors t.g' u f
 let fold_reliable_neighbors t u ~init ~f = Graph.fold_neighbors t.g u ~init ~f
-let fold_all_neighbors t u ~init ~f = Graph.fold_neighbors t.g' u ~init ~f
 
 let unreliable_incidence_csr t = (t.inc_off, t.inc_nbr, t.inc_edge)
 

@@ -71,9 +71,6 @@ val iter_all_neighbors : t -> int -> (int -> unit) -> unit
 val fold_reliable_neighbors : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** Allocation-free fold over [N_G(u)] in ascending order. *)
 
-val fold_all_neighbors : t -> int -> init:'a -> f:('a -> int -> 'a) -> 'a
-(** Allocation-free fold over [N_G'(u)] in ascending order. *)
-
 val unreliable_incidence_csr : t -> int array * int array * int array
 (** [(offsets, nbr, edge)] — the unreliable-edge incidence in flat CSR
     form, precomputed at creation.  Node [u]'s incident unreliable edges

@@ -216,14 +216,6 @@ let alive_through t ~node ~from ~until =
 
 let has_jams t = Array.length t.jam_from > 0
 
-let fill_alive t ~round buf =
-  if Bytes.length buf < t.n then
-    invalid_arg "Faults.Plan.fill_alive: buffer shorter than node count";
-  for v = 0 to t.n - 1 do
-    Bytes.unsafe_set buf v
-      (if t.crash.(v) <= round && round < t.restart.(v) then '\000' else '\001')
-  done
-
 let jammed t ~node ~round =
   (* windows are sorted by start and disjoint; stop at the first window
      starting after [round] *)

@@ -129,16 +129,6 @@ val has_jams : t -> bool
     this to skip the per-transmitter {!jammed} probe entirely on
     jam-free plans. *)
 
-val fill_alive : t -> round:int -> Bytes.t -> unit
-(** [fill_alive t ~round buf] sets [buf.[v]] to ['\001'] if node [v] is
-    alive at [round] and ['\000'] otherwise, for all [v < n t] — a
-    batched form of {!alive} for per-tile liveness snapshots (each tile
-    reads its own slice of one shared buffer).  [buf] must hold at
-    least [n t] bytes; bytes past [n t] are untouched.  Like {!alive}
-    and {!jammed}, this reads only immutable plan state and is safe to
-    call from several domains at once.
-    @raise Invalid_argument if [buf] is shorter than [n t]. *)
-
 val crash_round : t -> int -> int option
 (** [crash_round t node] is the node's crash round, if it ever crashes. *)
 

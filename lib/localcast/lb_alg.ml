@@ -79,15 +79,15 @@ let create params ~source ~id ~rng =
 
 let queue_output state out = state.pending_outputs <- out :: state.pending_outputs
 
-let open_cursor state seed =
-  state.seed <- Seeded { cursor = Prng.Bitstring.cursor seed; skipped = 0 }
+let open_cursor state ~skipped seed =
+  state.seed <- Seeded { cursor = Prng.Bitstring.cursor seed; skipped }
 
 (* Commit the preamble's seed and open a cursor on it for body rounds. *)
 let commit_seed state core =
   Seed_core.finalize core;
   match Seed_core.decision core with
   | Some announcement ->
-      open_cursor state announcement.Messages.seed;
+      open_cursor state ~skipped:0 announcement.Messages.seed;
       queue_output state (Messages.Committed announcement)
   | None -> assert false
 
@@ -185,12 +185,18 @@ let decide state ~round inputs =
     | Agreeing core -> Seed_core.decide_action core ~local_round:pos
     | Unseeded | Seeded _ -> P.Listen (* oracle mode idles through the preamble *)
   else begin
-    (* First body round after a preamble: commit the phase's seed. *)
+    (* First body round after a preamble, or after a fresh-state
+       revival under the oracle: commit the cycle's seed. *)
     (match (state.source, state.seed) with
     | Src_agreement, Agreeing core -> commit_seed state core
     | Src_oracle _, Unseeded ->
-        let seed = oracle_seed state ~phase in
-        open_cursor state seed;
+        (* The cycle's seed, and the body rounds its senders have read
+           so far: a node revived mid-cycle joins its group where the
+           group's cursors stand. *)
+        let first = phase - (phase mod params.Params.seed_refresh) in
+        let seed = oracle_seed state ~phase:first in
+        open_cursor state seed
+          ~skipped:(round - (first * phase_len) - params.Params.ts);
         (* Owner -1 marks the magical global owner. *)
         queue_output state (Messages.Committed { Messages.owner = -1; seed })
     | (Src_agreement | Src_oracle _), _ -> ());

@@ -51,7 +51,10 @@ type seed_source =
           preamble rounds, spent idle — is kept identical, so comparing
           against [Agreement] isolates the {e quality} cost of loose
           coordination (several seed groups per neighborhood instead of
-          one), not its time cost.  Used by experiment E14. *)
+          one), not its time cost.  A node revived mid-cycle (fresh
+          state, as {!Service.reviver} builds it) takes the cycle's
+          seed with its cursor where the cycle's senders stand, so the
+          seed stays global under churn.  Used by experiment E14. *)
 
 val node :
   ?seed_source:seed_source ->

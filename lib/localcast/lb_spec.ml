@@ -144,7 +144,3 @@ let finish m =
   end;
   Audit.report m.core
 
-let check_trace ?faults ~dual ~params ?env:_ trace =
-  let m = monitor ?faults ~dual ~params () in
-  Radiosim.Trace.iter (observe m) trace;
-  finish m

@@ -95,11 +95,3 @@ val auditor :
     [delta_bound = params.delta_bound], and [dual]'s graphs G and G'.
     Every monitor feeds one; {!Lb_obs.auditor} is this function. *)
 
-val check_trace :
-  ?faults:Faults.Plan.t ->
-  dual:Dualgraph.Dual.t ->
-  params:Params.t ->
-  ?env:Lb_env.t ->
-  (Messages.msg, Messages.lb_input, Messages.lb_output) Radiosim.Trace.t ->
-  report
-(** Convenience: run a monitor over a recorded trace. *)

@@ -1,8 +1,7 @@
-let capacity_v = Atomic.make (max 1 (Domain.recommended_domain_count ()))
+let capacity_v = max 1 (Domain.recommended_domain_count ())
 let in_flight_v = Atomic.make 0
 
-let capacity () = Atomic.get capacity_v
-let set_capacity c = Atomic.set capacity_v (max 1 c)
+let capacity () = capacity_v
 let in_flight () = Atomic.get in_flight_v
 
 let note_spawned k = ignore (Atomic.fetch_and_add in_flight_v k)

@@ -15,11 +15,7 @@
 
 val capacity : unit -> int
 (** Total domains the machine is expected to run well, including the
-    main domain.  Initially [Domain.recommended_domain_count ()]. *)
-
-val set_capacity : int -> unit
-(** Override {!capacity} (clamped to >= 1).  Benchmarks use this to pin
-    the budget regardless of the host. *)
+    main domain: [Domain.recommended_domain_count ()], at least 1. *)
 
 val in_flight : unit -> int
 (** Extra domains currently registered as spawned and not yet joined. *)

@@ -18,19 +18,20 @@
 
     Reception is resolved {e transmitter-centrically}: only the round's
     transmitters push (first-message, collision) state into
-    per-listener scratch, along their reliable CSR slice and their
-    {e active} unreliable edges.  How those edges are found is fixed
-    per run by {!Scheduler.resolves_sparsely}.  A per-edge scheduler
+    per-listener scratch, along their reliable CSR slice and those of
+    their incident unreliable edges
+    ({!Dualgraph.Dual.unreliable_incidence_csr}) that are {e active}.
+    How an edge's state is read is fixed per run by
+    {!Scheduler.resolves_sparsely}.  A per-edge scheduler
     ({!Scheduler.bernoulli}, {!Scheduler.make}) is asked
-    {!Scheduler.active} for each transmitter's incident unreliable
-    edges only ({!Dualgraph.Dual.unreliable_incidence_csr}), so a
-    round costs O(T·Δ' + n) for T transmitters, whatever m is.  A
-    natively sparse scheduler ({!Scheduler.bernoulli_sparse}, the
-    constant and periodic ones) and an adaptive adversary instead
-    materialize the round's active set once into a reusable index
-    buffer ({!Scheduler.fill_active_sparse}), and the round's
-    unreliable adjacency is built {e for those edges only}: O(T·Δ +
-    active + n), with [active ≈ p·m ≪ m] for the sparse schedulers.
+    {!Scheduler.active} for each such edge, so a round costs
+    O(T·Δ' + n) for T transmitters, whatever m is.  A natively sparse
+    scheduler ({!Scheduler.bernoulli_sparse}, the constant and periodic
+    ones) and an adaptive adversary instead materialize the round's
+    active set once into a reusable index buffer
+    ({!Scheduler.fill_active_sparse}), marked in a per-run byte map
+    for the push to read and cleared after it: O(T·Δ' + active + n),
+    with [active ≈ p·m ≪ m] for the sparse schedulers.
     Either way this is the regime the decay-ladder algorithms live in,
     where T is a small constant, instead of the listener-centric
     O(n·Δ') of the frozen reference resolver ([Oracle.run_reference]

@@ -37,8 +37,8 @@ let[@inline] fold heard touched w src =
 
 (* The one round loop.  Each round runs decide -> resolve -> absorb once
    per tile, and the coordinator (the calling domain) serializes
-   everything between phases — fault transitions, activation and the
-   round's adjacency, events, notify, records — in ascending node order,
+   everything between phases — fault transitions, the round's
+   activation marks, events, notify, records — in ascending node order,
    so the tiling never shows in a trace.  At one tile there is no tiling
    state and no pool: tile 0 owns every node, member [idx] is node
    [idx], and every phase is a direct call.  See tiled.mli and DESIGN.md
@@ -99,28 +99,13 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
   let g_off = Graph.csr_offsets (Dual.g dual) in
   let g_adj = Graph.csr_neighbors (Dual.g dual) in
   let m = Dual.unreliable_count dual in
-  (* How the resolve reaches unreliable edges, chosen once per run.  A
-     scheduler that resolves every edge anyway ({!Scheduler.resolves_sparsely}
-     false) is asked per edge, for the round's transmitters' incident
-     edges only — O(T·Δ') instead of O(m), and no adjacency to build.
-     Natively sparse schedulers and adaptive adversaries fill the
-     round's activation set in one batch instead (see [fill_sparse]),
-     and the push walks the adjacency built over it. *)
-  let per_edge =
-    match source with
-    | Oblivious s when not (Scheduler.resolves_sparsely s) ->
-        Some (Scheduler.active s)
-    | Oblivious _ | Adaptive _ -> None
-  in
-  let batch = Option.is_none per_edge in
   let inc_off, inc_nbr, inc_edge = Dual.unreliable_incidence_csr dual in
   (* The activation source writes the round's active unreliable-edge
      indices (ascending) into [sparse] and returns their count; an
      oblivious scheduler ignores the transmission vector, an adaptive
      adversary rules on every edge after seeing it.  [resolved_of count]
      is the number of per-edge resolutions that took — it only feeds
-     [scheduler.edges_resolved].  Under [per_edge] it runs only to feed
-     the two counters, so they describe the full activation set. *)
+     [scheduler.edges_resolved]. *)
   let fill_sparse, resolved_of =
     match source with
     | Oblivious s ->
@@ -139,25 +124,36 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
             !c),
           fun _ -> m )
   in
-  (* Batch form only: unreliable edge endpoints in flat form, plus the
-     intrusive per-round adjacency over the active edges only (slots 2j
-     and 2j+1 belong to the j-th active edge; heads are reset edge by
-     edge after the round).  The activation buffer [sparse] also serves
-     the per-edge form's counters. *)
-  let batch_len = if batch then max m 1 else 0 in
-  let eu = Array.make batch_len 0 and ev = Array.make batch_len 0 in
-  if batch then
-    Array.iteri
-      (fun i (u, v) ->
-        eu.(i) <- u;
-        ev.(i) <- v)
-      (Dual.unreliable_edges dual);
+  (* How the push asks whether an unreliable edge is up, chosen once per
+     run: it walks each transmitter's incident edges either way.  A
+     scheduler that resolves every edge anyway
+     ({!Scheduler.resolves_sparsely} false) is asked per edge, which
+     costs O(T·Δ') instead of O(m).  Natively sparse schedulers and
+     adaptive adversaries fill the round's activation set in one batch
+     instead; the coordinator marks it in [marks] for the duration of
+     the push.  [sparse] holds that set, and also feeds a metered
+     per-edge run's counters, which fill it only to describe the full
+     activation set. *)
+  let batch =
+    match source with
+    | Oblivious s -> Scheduler.resolves_sparsely s
+    | Adaptive _ -> true
+  in
+  let marks = Bytes.make (if batch then m else 0) '\000' in
+  let active =
+    match source with
+    | Oblivious s when not batch -> Scheduler.active s
+    | Oblivious _ | Adaptive _ ->
+        fun ~round:_ ~edge -> Bytes.unsafe_get marks edge = '\001'
+  in
   let sparse =
     Array.make (if batch || Option.is_some metrics then max m 1 else 0) 0
   in
-  let adj_head = Array.make (if batch then n else 0) (-1) in
-  let adj_next = Array.make (2 * batch_len) 0 in
-  let adj_nbr = Array.make (2 * batch_len) 0 in
+  let set_marks count c =
+    for j = 0 to count - 1 do
+      Bytes.unsafe_set marks (Array.unsafe_get sparse j) c
+    done
+  in
   let ctr_active, ctr_resolved =
     match metrics with
     | None -> (None, None)
@@ -253,9 +249,8 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
     jam_hits.(i) <- !jams
   in
   (* Resolve, dual-graph model: each tile's transmitters push along their
-     reliable CSR slice and their active unreliable edges — asked of the
-     scheduler per incident edge, or read off the round's active
-     adjacency.  Receptions of the tile's own listeners land in [heard];
+     reliable CSR slice and those incident unreliable edges [active]
+     admits.  Receptions of the tile's own listeners land in [heard];
      foreign ones go to the (source, destination) outbox — the halo
      exchange. *)
   let phase_push i =
@@ -273,23 +268,13 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
         if one || Array.unsafe_get owner w = i then fold heard tb w v
         else send w v
       done;
-      match per_edge with
-      | Some active ->
-          for j = Array.unsafe_get inc_off v to Array.unsafe_get inc_off (v + 1) - 1 do
-            if active ~round:t ~edge:(Array.unsafe_get inc_edge j) then begin
-              let w = Array.unsafe_get inc_nbr j in
-              if one || Array.unsafe_get owner w = i then fold heard tb w v
-              else send w v
-            end
-          done
-      | None ->
-          let j = ref (Array.unsafe_get adj_head v) in
-          while !j >= 0 do
-            let w = Array.unsafe_get adj_nbr !j in
-            if one || Array.unsafe_get owner w = i then fold heard tb w v
-            else send w v;
-            j := Array.unsafe_get adj_next !j
-          done
+      for j = Array.unsafe_get inc_off v to Array.unsafe_get inc_off (v + 1) - 1 do
+        if active ~round:t ~edge:(Array.unsafe_get inc_edge j) then begin
+          let w = Array.unsafe_get inc_nbr j in
+          if one || Array.unsafe_get owner w = i then fold heard tb w v
+          else send w v
+        end
+      done
     done
   in
   (* Resolve, SINR model: tile i owns slots [i·n/k, (i+1)·n/k) of the
@@ -393,8 +378,8 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
       (match fault_cursor with
       | None -> ()
       | Some cur ->
-          Faults.Plan.apply cur ~round:t (fun node ev ->
-              match ev with
+          Faults.Plan.apply cur ~round:t (fun node transition ->
+              match transition with
               | Faults.Plan.Crash ->
                   Bytes.unsafe_set dead node '\001';
                   (match sink with
@@ -418,7 +403,6 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
       for i = 0 to k - 1 do
         tcount := !tcount + tx.(i).len
       done;
-      let acount = ref 0 in
       if !tcount > 0 then begin
         match sinr_field with
         | Some f ->
@@ -440,24 +424,17 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
             Sinr.load_round f ~transmitters:txs.data ~count:!tcount;
             par phase_sinr
         | None ->
-            if m > 0 && batch then begin
-              acount := fill_sparse ~round:t ~transmitting sparse;
-              count_active !acount;
-              for j = 0 to !acount - 1 do
-                let e = Array.unsafe_get sparse j in
-                let a = Array.unsafe_get eu e and b = Array.unsafe_get ev e in
-                Array.unsafe_set adj_nbr (2 * j) b;
-                Array.unsafe_set adj_next (2 * j) (Array.unsafe_get adj_head a);
-                Array.unsafe_set adj_head a (2 * j);
-                Array.unsafe_set adj_nbr ((2 * j) + 1) a;
-                Array.unsafe_set adj_next ((2 * j) + 1)
-                  (Array.unsafe_get adj_head b);
-                Array.unsafe_set adj_head b ((2 * j) + 1)
-              done
-            end
-            else if m > 0 && Option.is_some ctr_active then
-              count_active (fill_sparse ~round:t ~transmitting sparse);
-            par phase_push
+            let marked =
+              if m > 0 && (batch || Option.is_some ctr_active) then begin
+                let count = fill_sparse ~round:t ~transmitting sparse in
+                count_active count;
+                if batch then count else 0
+              end
+              else 0
+            in
+            set_marks marked '\001';
+            par phase_push;
+            set_marks marked '\000'
       end;
       par phase_absorb;
       (* Jam accounting: suppressed transmitters (dual graph) or jammed
@@ -496,11 +473,6 @@ let run ~who ~tiles ~source ?observer ?stop ?sink ?metrics ?faults ?revive
             done
           end);
       if !tcount > 0 then begin
-        for j = 0 to !acount - 1 do
-          let e = Array.unsafe_get sparse j in
-          Array.unsafe_set adj_head (Array.unsafe_get eu e) (-1);
-          Array.unsafe_set adj_head (Array.unsafe_get ev e) (-1)
-        done;
         (match sinr_field with
         | Some f ->
             let act, nact = Sinr.active_columns f in

@@ -32,10 +32,12 @@ val fill_active_sparse : t -> round:int -> m:int -> int array -> int
     proportional to its size, instead of resolving all [m] edges.  Raises
     [Invalid_argument] if [m < 0] or [buf] is shorter than [m].
 
-    Domain safety: the round core picks one of two forms per run.  A
-    natively sparse scheduler ({!resolves_sparsely}) has its activation
-    set filled by this function once per round from a single domain
-    ({!Tiled.run} does so on its coordinator), so it needs no internal
+    Domain safety: the round core walks each transmitter's incident
+    unreliable edges and picks, once per run, how it asks whether one
+    is up.  A natively sparse scheduler ({!resolves_sparsely}) has its
+    activation set filled by this function once per round from a
+    single domain ({!Tiled.run} does so on its coordinator, which marks
+    the set for the tile workers to read), so it needs no internal
     synchronization — but see {!bernoulli_sparse} for why one [t] value
     must still not be shared across concurrently running engine
     instances.  Any other scheduler ({!make}, {!bernoulli}) is asked
@@ -47,11 +49,12 @@ val resolves_sparsely : t -> bool
 (** Whether {!fill_active_sparse} does work proportional to the emitted
     set ([true]) rather than resolving every edge per round ([false] —
     the derived fallback used by {!make} and hash-per-edge schedulers
-    like {!bernoulli}).  Selects how the round core resolves a
-    scheduler: [true] fills the round's set in one batch, [false] asks
-    {!active} for the transmitters' incident edges only.  Also feeds
-    the [scheduler.edges_resolved] observability counter; see
-    [docs/OBSERVABILITY.md]. *)
+    like {!bernoulli}).  Selects how the round core reads a
+    transmitter's incident edges: [true] fills the round's set in one
+    batch and marks it, [false] asks {!active} about each of those
+    edges.  Either way only the transmitters' incident edges are
+    walked.  Also feeds the [scheduler.edges_resolved] observability
+    counter; see [docs/OBSERVABILITY.md]. *)
 
 val make : name:string -> (round:int -> edge:int -> bool) -> t
 (** Build a custom scheduler.  The function must be pure (the round

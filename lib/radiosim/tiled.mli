@@ -13,19 +13,19 @@
       push along their reliable CSR slice and their active unreliable
       edges: a per-edge scheduler ({!Scheduler.resolves_sparsely}
       false, e.g. {!Scheduler.bernoulli}) is asked about each incident
-      edge from the tile's own worker, and otherwise the round's active
-      adjacency, built by the coordinator, is walked.  Receptions for
-      listeners the tile owns land
-      directly in the shared per-listener accumulator; receptions for
-      foreign listeners are appended to a per-(source, destination) tile
-      outbox — the {e halo exchange};
+      edge from the tile's own worker, and otherwise the tile reads the
+      round's activation marks, set by the coordinator.  Receptions for
+      listeners the tile owns land directly in the shared per-listener
+      accumulator; receptions for foreign listeners are appended to a
+      per-(source, destination) tile outbox — the {e halo exchange};
     + {b absorb} — each tile drains the outboxes addressed to it, then
       computes its own nodes' delivery results and steps [absorb].
 
     Between phases the coordinator runs the serial spine in ascending
-    node order: fault transitions, impure input polling, activation +
-    adjacency build (batch-form schedulers, and the counters of a
-    metered run), event emission, [notify], observer and stop.
+    node order: fault transitions, impure input polling, the batch
+    activation fill and its marks (batch-form schedulers, and the
+    counters of a metered run), event emission, [notify], observer and
+    stop.
 
     This is the same round core {!Engine.run} runs on one tile — the
     sequential engine is its one-tile case, with no tiling state and no

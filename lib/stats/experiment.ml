@@ -75,8 +75,6 @@ let trials_par ?(domains = 1) ~seed ~n f =
 
 let count p l = List.length (List.filter p l)
 
-let float_samples f l = List.map f l
-
 (* Monotonic wall-clock (CLOCK_MONOTONIC via bechamel's stub, ns):
    [Unix.gettimeofday] is wall time and steps backwards under NTP
    adjustment, which produced negative "elapsed" readings in long

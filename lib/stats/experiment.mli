@@ -39,8 +39,6 @@ val trials_par :
 
 val count : ('a -> bool) -> 'a list -> int
 
-val float_samples : ('a -> float) -> 'a list -> float list
-
 val time : (unit -> 'a) -> 'a * float
 (** Result plus elapsed seconds on the monotonic clock
     (CLOCK_MONOTONIC) — immune to the backwards steps NTP inflicts on

@@ -1115,7 +1115,8 @@ module Lb_probe = struct
 end
 
 (* LBAlg's node, frozen as it stood while every node holding a committed
-   seed walked its cursor in every body round, sending or not. *)
+   seed walked its cursor in every body round, sending or not; an oracle
+   node revived mid-cycle walks the cycle's earlier body rounds. *)
 module Lb_alg = struct
   module Messages = Localcast.Messages
   module Params = Localcast.Params
@@ -1172,36 +1173,38 @@ module Lb_alg = struct
         | None -> assert false);
         state.core <- None
 
+  (* One body round's shared bits: [0] for a non-participant, else the
+     probability level. *)
+  let shared_level params cursor =
+    let participant =
+      Prng.Bitstring.take_all_zero cursor params.Params.participant_bits
+    in
+    if not participant then 0
+    else if params.Params.level_bits = 0 then 1
+    else begin
+      let m = params.Params.log_delta in
+      let limit = (1 lsl params.Params.level_bits) / m * m in
+      let chosen = ref (-1) in
+      let last = ref 0 in
+      for _ = 1 to params.Params.level_draws do
+        let v = Prng.Bitstring.take_int cursor params.Params.level_bits in
+        last := v;
+        if !chosen < 0 && v < limit then chosen := v
+      done;
+      (if !chosen >= 0 then !chosen mod m else !last mod m) + 1
+    end
+
   let body_action state =
     match state.cursor with
     | None -> Process.Listen
-    | Some cursor ->
-        let params = state.params in
-        let participant =
-          Prng.Bitstring.take_all_zero cursor params.Params.participant_bits
-        in
-        if not participant then Process.Listen
-        else begin
-          let b =
-            if params.Params.level_bits = 0 then 1
-            else begin
-              let m = params.Params.log_delta in
-              let limit = (1 lsl params.Params.level_bits) / m * m in
-              let chosen = ref (-1) in
-              let last = ref 0 in
-              for _ = 1 to params.Params.level_draws do
-                let v = Prng.Bitstring.take_int cursor params.Params.level_bits in
-                last := v;
-                if !chosen < 0 && v < limit then chosen := v
-              done;
-              (if !chosen >= 0 then !chosen mod m else !last mod m) + 1
-            end
-          in
+    | Some cursor -> (
+        let b = shared_level state.params cursor in
+        if b = 0 then Process.Listen
+        else
           match state.mode with
           | Sending { message; _ } when Prng.Rng.geometric_trial state.rng b ->
               Process.Transmit (Messages.Data message)
-          | Sending _ | Receiving -> Process.Listen
-        end
+          | Sending _ | Receiving -> Process.Listen)
 
   let decide state ~round inputs =
     let params = state.params in
@@ -1239,8 +1242,16 @@ module Lb_alg = struct
       (match (state.source, state.core, state.cursor) with
       | Src_agreement, Some _, _ -> commit_seed state
       | Src_oracle _, _, None ->
-          let seed = oracle_seed state ~phase in
-          state.cursor <- Some (Prng.Bitstring.cursor seed);
+          (* The cycle's seed, walked through the cycle's body rounds
+             before this one, so a node revived mid-cycle reads what its
+             group reads. *)
+          let first = phase - (phase mod params.Params.seed_refresh) in
+          let seed = oracle_seed state ~phase:first in
+          let cursor = Prng.Bitstring.cursor seed in
+          for _ = 1 to round - (first * phase_len) - params.Params.ts do
+            ignore (shared_level params cursor : int)
+          done;
+          state.cursor <- Some cursor;
           queue_output state (Messages.Committed { Messages.owner = -1; seed })
       | (Src_agreement | Src_oracle _), _, _ -> ());
       body_action state

@@ -269,7 +269,10 @@ end
     holding a committed seed took the participant and level bits in
     every body round, sending or not.  The property suite holds the
     production node, whose listeners skip those takes and a promoted
-    sender replays them, to identical traces. *)
+    sender replays them, to identical traces.  Under the oracle seed
+    source a node revived mid-cycle takes the cycle's seed and walks it
+    through the cycle's earlier body rounds, as the production node
+    does. *)
 module Lb_alg : sig
   val node :
     ?seed_source:Localcast.Lb_alg.seed_source ->

@@ -137,6 +137,73 @@ let test_midcycle_promotion () =
   Alcotest.(check bool) "trace equals the frozen walking node's" true
     (replayed = records (run (Oracle.Lb_alg.network params ~n:6)))
 
+(* Oracle seeds under churn, seed_refresh = 3 (one preamble, then three
+   phases of body): node 1 crashes at round 3, is revived with fresh
+   state at [restart] (Service.reviver) and gets a bcast there.  Every
+   node must commit the cycle's one seed, and every Data transmission
+   must fall in a body round where that seed's shared bits, read from
+   the cycle's first body round on, let the senders participate. *)
+let test_oracle_revival ~restart () =
+  let n = 6 in
+  let dual = Geo.clique n in
+  let params = Params.of_dual ~tack_phases:1 ~seed_refresh:3 ~eps1:0.25 dual in
+  let phase_len = params.Params.phase_len and ts = params.Params.ts in
+  let restart = restart ~phase_len ~ts in
+  let seed_source = Lb_alg.Oracle (Rng.of_int 11) in
+  let faults =
+    Faults.Plan.make ~n ~crashes:[ (1, 3) ] ~restarts:[ (1, restart) ] ()
+  in
+  let envt = Lb_env.one_shot ~n ~bcasts:[ (1, restart) ] in
+  let trace, observer = Trace.recorder () in
+  let (_ : int) =
+    Radiosim.Engine.run ~observer ~faults
+      ~revive:(Localcast.Service.reviver ~seed_source ~params ~seed:7 ())
+      ~dual ~scheduler:Sch.reliable_only
+      ~nodes:(Lb_alg.network ~seed_source params ~rng:(Rng.of_int 5) ~n)
+      ~env:(Lb_env.env envt) ~rounds:(3 * phase_len) ()
+  in
+  let records = List.init (Trace.length trace) (Trace.get trace) in
+  let seeds =
+    List.concat_map
+      (fun r ->
+        List.concat_map
+          (List.filter_map (function M.Committed c -> Some c.M.seed | _ -> None))
+          (Array.to_list r.Trace.outputs))
+      records
+  in
+  Alcotest.(check int) "every node commits once, the revived one too" n
+    (List.length seeds);
+  let seed = List.hd seeds in
+  Alcotest.(check bool) "one seed for the whole cycle" true
+    (List.for_all (Prng.Bitstring.equal seed) seeds);
+  (* The cycle's participation pattern, body round by body round. *)
+  let cursor = Prng.Bitstring.cursor seed in
+  let participating =
+    Array.init ((3 * phase_len) - ts) (fun _ ->
+        let p =
+          Prng.Bitstring.take_all_zero cursor params.Params.participant_bits
+        in
+        if p && params.Params.level_bits > 0 then
+          for _ = 1 to params.Params.level_draws do
+            ignore (Prng.Bitstring.take_int cursor params.Params.level_bits : int)
+          done;
+        p)
+  in
+  let data =
+    List.concat_map
+      (fun r ->
+        List.filter_map
+          (fun v ->
+            match r.Trace.actions.(v) with
+            | P.Transmit (M.Data _) -> Some r.Trace.round
+            | _ -> None)
+          (List.init n Fun.id))
+      records
+  in
+  Alcotest.(check bool) "the revived node sends" true (data <> []);
+  Alcotest.(check (list int)) "every Data transmission in a participating round"
+    [] (List.filter (fun t -> not participating.(t - ts)) data)
+
 let qcheck_cases =
   let open QCheck in
   [
@@ -255,4 +322,10 @@ let qcheck_cases =
 let suite =
   Alcotest.test_case "listener promoted mid-cycle replays its skipped takes"
     `Quick test_midcycle_promotion
+  :: Alcotest.test_case
+       "oracle node revived in phase 0's body joins the cycle's seed" `Quick
+       (test_oracle_revival ~restart:(fun ~phase_len:_ ~ts -> ts + 10))
+  :: Alcotest.test_case
+       "oracle node revived at phase 1 joins the cycle's seed" `Quick
+       (test_oracle_revival ~restart:(fun ~phase_len ~ts:_ -> phase_len + 10))
   :: List.map QCheck_alcotest.to_alcotest qcheck_cases

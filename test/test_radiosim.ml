@@ -596,6 +596,47 @@ let test_metered_counters_count_full_set () =
   checki "engine.active_edges" active (counter "engine.active_edges");
   checki "scheduler.edges_resolved" resolved (counter "scheduler.edges_resolved")
 
+(* The batch form's per-run scratch is the activation list plus one
+   mark byte per unreliable edge, nothing sized by n: on a field with
+   m ≫ n, a run under a natively sparse scheduler allocates at most about
+   m + m/8 words more than one under a per-edge scheduler, which needs
+   neither. *)
+let test_batch_scratch_footprint () =
+  let rng = Prng.Rng.of_int 23 in
+  let dual =
+    Geo.random_field ~rng ~n:400 ~width:6.0 ~height:6.0 ~r:3.0 ~gray_g':1.0 ()
+  in
+  let n = Dual.n dual and m = Dual.unreliable_count dual in
+  checkb "m >> n" true (m > 50 * n);
+  let nodes = Array.init n (fun _ -> listener ()) in
+  let env = Env.null ~name:"footprint" () in
+  (* The major slice folds allocations made straight in the major heap
+     (every array here) into the counters.  They may also take in what
+     domains that ended meanwhile allocated, so the least of three
+     readings is taken. *)
+  let total () =
+    ignore (Gc.major_slice 0 : int);
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let words scheduler =
+    let once () =
+      let before = total () in
+      ignore
+        (Sys.opaque_identity
+           (Engine.run ~dual ~scheduler ~nodes ~env ~rounds:0 ()));
+      total () -. before
+    in
+    min (once ()) (min (once ()) (once ()))
+  in
+  let per_edge = words (Sch.bernoulli ~seed:1 ~p:0.5) in
+  let batch = words (Sch.bernoulli_sparse ~seed:1 ~p:0.5) in
+  checkb
+    (Printf.sprintf "batch form allocates %.0f more words (m = %d, n = %d)"
+       (batch -. per_edge) m n)
+    true
+    (batch -. per_edge <= float_of_int (m + (m / 8) + 64))
+
 let suite =
   List.map (fun (name, f) -> Alcotest.test_case name `Quick f)
     [
@@ -622,6 +663,7 @@ let suite =
         test_per_edge_resolution_is_transmitter_local );
       ( "metered counters count the full activation set",
         test_metered_counters_count_full_set );
+      ("batch form scratch is m + m/8 words", test_batch_scratch_footprint);
       ( "scheduler fill_active_sparse agrees with active",
         test_scheduler_fill_active_sparse );
       ( "bernoulli_sparse matches bernoulli in distribution",
