@@ -129,19 +129,35 @@ let decay_first_reception ~dual ~scheduler ~receiver ~seed ~max_rounds =
 
 (* A one-message flood over the abstract MAC layer: Serve over the
    batch [source], with the whole round budget as ttl so the message can
-   only complete or run out of rounds.  Returns the covered count and,
-   if every node got it, the completion round. *)
+   only complete or run out of rounds.  The run's events stream through
+   a one-slot sink into the spec auditor, and any validity violation,
+   late ack or missing ack fails the trial: the §5 claim that LBAlg is
+   an abstract MAC layer is checked where E11 and E18 report it.
+   Returns the covered count and, if every node got it, the completion
+   round. *)
 let mac_flood ~params ~rng ~dual ~scheduler ~source ~max_rounds =
   let workload =
     Macapps.Workload.create
       ~process:(Batch { sources = [ source ] })
       ~n:(Dual.n dual) ~seed:0 ()
   in
+  let sink = Obs.Sink.create ~capacity:1 () in
+  let audit = L.Lb_obs.auditor ~dual ~params () in
+  Obs.Sink.on_event sink (Obs.Audit.observe audit);
   let r =
-    Macapps.Serve.run
+    Macapps.Serve.run ~sink
       ~config:(Macapps.Serve.config ~ttl:max_rounds ())
       ~workload ~params ~rng ~dual ~scheduler ~rounds:max_rounds ()
   in
+  Obs.Audit.finish audit;
+  let a = Obs.Audit.report audit in
+  if a.validity_violations + a.late_ack_count + a.missing_ack_count > 0 then
+    failwith
+      (Printf.sprintf
+         "mac_flood: MAC contract broken on a %d-node flood (validity %d, \
+          late acks %d, missing acks %d)"
+         (Dual.n dual) a.validity_violations a.late_ack_count
+         a.missing_ack_count);
   ( r.Macapps.Serve.first_receptions,
     if r.Macapps.Serve.completed = 1 then
       Some (int_of_float r.Macapps.Serve.delivery_max)

@@ -29,7 +29,8 @@ type state = {
   id : int;
   rng : Prng.Rng.t;
   source : source;
-  seen : (Messages.payload, unit) Hashtbl.t;
+  last : (int, Messages.payload) Hashtbl.t;
+      (** per source heard, its last message: O(|N_G'(u)|) entries *)
   mutable mode : mode;
   mutable pending : Messages.payload option;
   mutable seed : seed;
@@ -70,7 +71,7 @@ let create params ~source ~id ~rng =
     id;
     rng;
     source;
-    seen = Hashtbl.create 32;
+    last = Hashtbl.create 16;
     mode = Receiving;
     pending = None;
     seed = Unseeded;
@@ -216,10 +217,17 @@ let absorb state ~round received =
         | Agreeing core -> Seed_core.absorb core ~local_round:pos (Some msg)
         | Unseeded | Seeded _ -> ())
   | Some (Messages.Data m) ->
-      if not (Hashtbl.mem state.seen m) then begin
-        Hashtbl.add state.seen m ();
-        queue_output state (Messages.Recv m)
-      end
+      (* A source's messages arrive in bcast order, each only in its own
+         sending phases, so a repeat equals the source's last message.
+         [replace] on a known source allocates nothing. *)
+      let src = m.Messages.src in
+      let repeat =
+        match Hashtbl.find state.last src with
+        | last -> Messages.payload_equal last m
+        | exception Not_found -> false
+      in
+      Hashtbl.replace state.last src m;
+      if not repeat then queue_output state (Messages.Recv m)
   | None ->
       if in_preamble then (
         match state.seed with

@@ -24,6 +24,16 @@
     phase boundary, for [Tack] full phases, after which it emits [Ack m]
     at the phase's last round and returns to receiving.
 
+    {b Receive uniqueness.}  A node keeps one entry per source it hears
+    — the last message heard from it — so its state is O(|N_G'(u)|),
+    however long the run.  A clean reception yields [Recv m] unless [m]
+    equals its source's entry.  That decides "heard before" exactly
+    because of two constraints of the environment (§4.1): a message is
+    never bcast twice, and a node waits for [ack(m)] before its next
+    [bcast].  A sender transmits [m] only in [m]'s sending phases, so a
+    node hears each source's messages in bcast order and never hears
+    [m] again once it has heard a later one.
+
     With [Params.seed_refresh = k > 1], only every k-th phase carries a
     preamble (§4.2's closing remark); the other phases are pure body and
     the committed seed is sized to last the whole cycle.

@@ -69,15 +69,3 @@ let attach ?metrics ~sink monitor =
 let snapshots t = List.rev t.snapshots_rev
 
 let auditor = Lb_spec.auditor
-
-let seed_observer ~sink () =
-  fun (record : (Messages.msg, unit, Messages.seed_output) Trace.round_record) ->
-  Array.iteri
-    (fun u outs ->
-      List.iter
-        (fun (Messages.Decide ann) ->
-          Obs.Sink.emit sink
-            (E.Seed_commit
-               { round = record.Trace.round; node = u; owner = ann.Messages.owner }))
-        outs)
-    record.Trace.outputs

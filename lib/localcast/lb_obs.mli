@@ -44,11 +44,3 @@ val auditor : ?window:int -> dual:Dualgraph.Dual.t -> params:Params.t -> unit ->
     [Obs.Sink.on_event sink (Obs.Audit.observe a)] {e before} the run so
     it sees the complete stream, and call {!Obs.Audit.finish} after.
     [window] is the causal-evidence ring size per violation. *)
-
-val seed_observer :
-  sink:Obs.Sink.t ->
-  unit ->
-  (Messages.msg, unit, Messages.seed_output) Radiosim.Trace.round_record ->
-  unit
-(** Translator for standalone {!Seed_alg} runs: each [Decide (j, s)]
-    output becomes a [Seed_commit] event. *)

@@ -6,7 +6,11 @@
     - {e Timely Acknowledgement}: each [bcast(m)_u] is answered by exactly
       one [ack(m)_u] within [t_ack] rounds;
     - {e Validity}: a [recv(m)_u] happens only while some [v ∈ N_{G'}(u)]
-      is actively broadcasting [m].
+      is actively broadcasting [m].  The monitor also counts as validity
+      violations the rest of the abstract MAC layer's safety contract
+      (§5): a second [recv(m)_u] while [u] stays alive (receive
+      uniqueness), and an [ack] of anything but the node's current
+      bcast.
 
     Probabilistic conditions, whose empirical frequency the checker
     reports so trials can estimate the error probability:
@@ -31,8 +35,9 @@
     {e Churn.}  With a [?faults] plan (the one the engine runs under),
     every claim is survivor-relative, as {!Obs.Audit} spells out: a
     crash ends the sender's broadcast and waives its ack, reliability is
-    owed to neighbors alive through the bcast's window, and progress to
-    receivers alive all phase.  Without a plan, everyone survives. *)
+    owed to neighbors alive through the bcast's window, progress to
+    receivers alive all phase, and a receiver revived with fresh state
+    may receive a message again.  Without a plan, everyone survives. *)
 
 type report = Obs.Audit.report = {
   rounds_observed : int;

@@ -221,4 +221,9 @@ val run :
     dual's node count ([Invalid_argument] otherwise).  [minor_words_per_round] in
     the report covers the whole stack (MAC and engine included), not
     just the serving layer; the serving-layer-only number comes from
-    {!Sim.run}. *)
+    {!Sim.run}.
+
+    Without a [sink] the whole stack's footprint is flat in run length
+    too: LBAlg keeps one entry per source a node hears, and the glue
+    keeps nothing that grows.  A [sink] adds an {!Localcast.Lb_spec}
+    monitor, whose auditor keeps a list entry per ack. *)

@@ -40,11 +40,13 @@ type t = {
   g' : Graph.t;
   recent : Sink.t;  (** the evidence ring *)
   mutable cap : int;
-  mutable uid : int array;  (** the node's current bcast *)
+  mutable uid : int array;  (** the node's current bcast, min_int = none *)
   mutable since : int array;  (** its bcast round while the ack is owed, else -1 *)
   mutable missed : Bytes.t;  (** the owed ack was already flagged missing *)
   mutable active : Bytes.t;  (** actively broadcasting [uid] *)
-  mutable receivers : int list array;  (** recv'd the active bcast *)
+  mutable receivers : (int * int) list array;
+      (** (receiver, round) of each first recv of the active bcast,
+          latest first *)
   mutable last_dead : int array;  (** -1 never dead, max_int while down *)
   mutable commits : int array;  (** committed seed owner, min_int = none *)
   mutable whole : Bytes.t;  (** active in every round of the open phase *)
@@ -87,7 +89,7 @@ let create ?(window = 64) ?t_prog ?delta_bound ?(g = Graph.empty 0)
     g';
     recent = Sink.create ~capacity:window ();
     cap = n;
-    uid = Array.make n 0;
+    uid = Array.make n min_int;
     since = Array.make n (-1);
     missed = Bytes.make n '\000';
     active = Bytes.make n '\000';
@@ -122,7 +124,7 @@ let ensure t v =
     let extra = Int.max (v + 1) (2 * t.cap) - t.cap in
     let ints a x = Array.append a (Array.make extra x) in
     let bytes b c = Bytes.cat b (Bytes.make extra c) in
-    t.uid <- ints t.uid 0;
+    t.uid <- ints t.uid min_int;
     t.since <- ints t.since (-1);
     t.missed <- bytes t.missed '\000';
     t.active <- bytes t.active '\000';
@@ -217,17 +219,27 @@ let progress t ~round ~node =
   && (t.first.(node) <- round - t.phase_lo;
       true)
 
-let recv t ~round:_ ~node ~src ~uid =
+(* [v] received the bcast and has been alive since.  Its latest entry
+   is the one that counts: a restart brings back a process that never
+   received the bcast. *)
+let rec holds t v = function
+  | [] -> false
+  | (w, r) :: rest -> if w = v then survivor t v ~from:r else holds t v rest
+
+let recv t ~round ~node ~src ~uid =
   ensure t (Int.max node src);
   let current = qualifying t ~src ~uid in
-  if node < Graph.n t.g' && not (current && Graph.mem_edge t.g' node src) then
-    t.invalid <- t.invalid + 1;
-  if current then t.receivers.(src) <- node :: t.receivers.(src)
+  let repeat = current && holds t node t.receivers.(src) in
+  let stray = node < Graph.n t.g' && not (current && Graph.mem_edge t.g' node src) in
+  if repeat || stray then t.invalid <- t.invalid + 1
+  else if current then t.receivers.(src) <- (node, round) :: t.receivers.(src)
 
 let ack t ~round ~node ~uid =
   ensure t node;
   t.acks <- t.acks + 1;
-  let b = if t.uid.(node) = uid then t.since.(node) else -1 in
+  let current = t.uid.(node) = uid in
+  if not current then t.invalid <- t.invalid + 1;
+  let b = if current then t.since.(node) else -1 in
   (* The reliability verdict waits for the round end, so that recvs of
      the same round count. *)
   t.acked <- (node, if b >= 0 then b else round) :: t.acked;
@@ -311,7 +323,7 @@ let rec settle t = function
       t.attempts <- t.attempts + 1;
       if u < Graph.n t.g
          && Graph.fold_neighbors t.g u ~init:false ~f:(fun missed v ->
-                missed || (survivor t v ~from && not (List.mem v t.receivers.(u))))
+                missed || (survivor t v ~from && not (List.mem_assoc v t.receivers.(u))))
       then t.unreliable <- t.unreliable + 1;
       t.receivers.(u) <- [];
       set t.active u false;

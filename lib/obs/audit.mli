@@ -40,12 +40,20 @@
     reception qualifies when its source is actively broadcasting that
     very message.
 
+    {e Validity} is the abstract MAC layer's safety contract (§5): LB's
+    validity plus receive uniqueness, and acks that answer bcasts.  A
+    recv is valid when its source is an actively broadcasting
+    G'-neighbour and the receiver has not received that message since
+    it was last restarted; an ack is valid when its uid is the node's
+    current bcast.
+
     {e Churn.}  Liveness comes from the feed's crash and restart
     observations, and verdicts are survivor-scoped: a crash waives the
     sender's ack unless its deadline had already passed, reliability is
-    owed only to reliable neighbors alive through [\[bcast, ack\]], and
-    a progress opportunity needs the receiver and a fully active
-    neighbor alive all phase.  A crash never creates an obligation
+    owed only to reliable neighbors alive through [\[bcast, ack\]], a
+    progress opportunity needs the receiver and a fully active
+    neighbor alive all phase, and a receiver revived since its recv of
+    a message may receive it anew.  A crash never creates an obligation
     ([docs/FAULTS.md]). *)
 
 type kind =
@@ -73,7 +81,10 @@ val pp_violation : Format.formatter -> violation -> unit
 type report = {
   rounds_observed : int;
   validity_violations : int;
-      (** recvs with no actively broadcasting G'-source (needs [g']) *)
+      (** recvs with no actively broadcasting G'-source (needs [g']),
+          repeated recvs of a source's active message by a receiver
+          alive since its first recv of it, and acks whose uid is not
+          the node's current bcast *)
   ack_count : int;
   late_ack_count : int;  (** acks later than t_ack after their bcast *)
   missing_ack_count : int;  (** bcasts never answered within the run *)

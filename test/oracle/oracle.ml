@@ -1315,3 +1315,57 @@ module Lb_alg = struct
   let network ?seed_source params ~rng ~n =
     Array.init n (fun id -> node ?seed_source params ~id ~rng:(Prng.Rng.split rng))
 end
+
+(* The randomness checks, as they stood in Stats before they moved
+   here: their only user is the test suite. *)
+module Hypothesis = struct
+  let chi_square_statistic ~observed ~expected =
+    if Array.length observed <> Array.length expected then
+      invalid_arg "Hypothesis.chi_square_statistic: length mismatch";
+    if Array.length observed = 0 then
+      invalid_arg "Hypothesis.chi_square_statistic: empty";
+    let acc = ref 0.0 in
+    Array.iteri
+      (fun i o ->
+        let e = expected.(i) in
+        if e <= 0.0 then invalid_arg "Hypothesis.chi_square_statistic: expected <= 0";
+        let d = float_of_int o -. e in
+        acc := !acc +. (d *. d /. e))
+      observed;
+    !acc
+
+  let chi_square_uniform observed =
+    let k = Array.length observed in
+    if k = 0 then invalid_arg "Hypothesis.chi_square_uniform: empty";
+    let total = Array.fold_left ( + ) 0 observed in
+    let expected = Array.make k (float_of_int total /. float_of_int k) in
+    chi_square_statistic ~observed ~expected
+
+  let chi_square_critical ~df =
+    if df < 1 then invalid_arg "Hypothesis.chi_square_critical: df must be >= 1";
+    (* Wilson–Hilferty: X²_p(df) ≈ df · (1 - 2/(9 df) + z_p sqrt(2/(9 df)))³
+       with z_0.99 = 2.326348. *)
+    let dff = float_of_int df in
+    let z = 2.326348 in
+    let t = 1.0 -. (2.0 /. (9.0 *. dff)) +. (z *. sqrt (2.0 /. (9.0 *. dff))) in
+    dff *. t *. t *. t
+
+  let uniform_ok ?df observed =
+    let df = match df with Some df -> df | None -> Array.length observed - 1 in
+    chi_square_uniform observed <= chi_square_critical ~df
+
+  let serial_correlation samples =
+    let n = Array.length samples in
+    if n < 3 then 0.0
+    else begin
+      let mean = Array.fold_left ( +. ) 0.0 samples /. float_of_int n in
+      let num = ref 0.0 and den = ref 0.0 in
+      for i = 0 to n - 2 do
+        num := !num +. ((samples.(i) -. mean) *. (samples.(i + 1) -. mean))
+      done;
+      for i = 0 to n - 1 do
+        den := !den +. ((samples.(i) -. mean) *. (samples.(i) -. mean))
+      done;
+      if !den = 0.0 then 0.0 else !num /. !den
+    end
+end

@@ -295,3 +295,30 @@ module Lb_alg : sig
     Radiosim.Process.node
     array
 end
+
+(** Chi-square and lag-1 autocorrelation checks that turn the paper's
+    independence claims (Lemmas B.17/B.18) into verdicts at the 1%
+    level, as they stood in [Stats] before they moved here: their only
+    user is the test suite's [hypothesis] group. *)
+module Hypothesis : sig
+  val chi_square_statistic : observed:int array -> expected:float array -> float
+  (** Pearson's X² = Σ (O - E)² / E.  Requires same-length arrays with all
+      expected counts positive. *)
+
+  val chi_square_uniform : int array -> float
+  (** X² against the uniform distribution over the array's cells. *)
+
+  val chi_square_critical : df:int -> float
+  (** The 99th-percentile critical value of the χ² distribution with [df]
+      degrees of freedom (Wilson–Hilferty approximation; exact to ~1% for
+      df >= 3).  A statistic below this is consistent with the null at the
+      1% level. *)
+
+  val uniform_ok : ?df:int -> int array -> bool
+  (** [uniform_ok counts]: is the cell distribution consistent with uniform
+      at the 1% level?  [df] defaults to [length - 1]. *)
+
+  val serial_correlation : float array -> float
+  (** Lag-1 autocorrelation coefficient; near 0 for independent samples.
+      Returns 0 for fewer than 3 samples or constant input. *)
+end

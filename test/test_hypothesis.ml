@@ -7,7 +7,7 @@ open Core
 let checkb = Alcotest.check Alcotest.bool
 let checkf = Alcotest.check (Alcotest.float 1e-9)
 
-module H = Stats.Hypothesis
+module H = Oracle.Hypothesis
 module Rng = Prng.Rng
 
 let test_chi_square_statistic () =

@@ -54,8 +54,12 @@ let random_run seed =
    (Oracle.Lb_alg).  Senders saturate from a random round of the first
    seed cycle, so under seed_refresh > 1 listeners are promoted at
    phase boundaries without a preamble and must replay the takes they
-   skipped; half the runs add churn with fresh-state revival.  Returns
-   every round record, copied. *)
+   skipped; half the runs add churn with fresh-state revival.  The run
+   lasts seed_refresh + 3 phases past the first cycle, so at
+   tack_phases 1 a sender that stays up bcasts at least four messages
+   and its receivers replace their entry for it several times (the
+   frozen node keeps every payload it heard).  Returns every round
+   record, copied. *)
 let cursor_run ~frozen seed =
   let rng = Rng.of_int seed in
   let n = 3 + Rng.int rng 10 in
@@ -71,7 +75,7 @@ let cursor_run ~frozen seed =
     if Rng.bool rng then Some (Lb_alg.Oracle (Rng.of_int (seed + 1))) else None
   in
   let phase_len = params.Params.phase_len in
-  let rounds = ((2 * seed_refresh) + 2) * phase_len in
+  let rounds = ((2 * seed_refresh) + 3) * phase_len in
   let start = Rng.int rng (seed_refresh * phase_len) in
   let senders = List.filter (fun _ -> Rng.bool rng) (List.init n Fun.id) in
   let faults =

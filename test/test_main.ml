@@ -19,7 +19,6 @@ let () =
       ("lb-probe", Test_lbprobe.suite);
       ("engine-properties", Test_engine_props.suite);
       ("lb-properties", Test_lb_props.suite);
-      ("mac-spec", Test_macspec.suite);
       ("gossip-baseline", Test_gossip.suite);
       ("service", Test_service.suite);
       ("serving-engine", Test_serve.suite);

@@ -390,6 +390,133 @@ let test_audit_partial_phase_unjudged () =
   | [ { Audit.kind = Audit.Progress_miss { phase = 0 }; node = 0; _ } ] -> ()
   | vs -> Alcotest.failf "expected only the phase-0 miss, got %d violations" (List.length vs)
 
+(* --- auditor: the abstract MAC layer contract (§5) --- *)
+
+(* The contract is LB's ack and validity conditions plus receive
+   uniqueness, checked on the observation API against the dual's G'. *)
+let mac_audit ?(t_ack = 100) dual = Audit.create ~g':(Dual.g' dual) ~t_ack ()
+
+let finished a =
+  Audit.finish a;
+  Audit.report a
+
+let test_audit_mac_clean () =
+  let a = mac_audit (Geo.pair ()) in
+  Audit.bcast a ~round:0 ~node:0 ~uid:0;
+  round_ends a ~from:0 ~upto:4;
+  Audit.recv a ~round:5 ~node:1 ~src:0 ~uid:0;
+  round_ends a ~from:5 ~upto:9;
+  checki "latency" 10 (Audit.ack a ~round:10 ~node:0 ~uid:0);
+  round_ends a ~from:10 ~upto:19;
+  let r = finished a in
+  checki "validity" 0 r.Audit.validity_violations;
+  checki "acks" 1 r.Audit.ack_count;
+  checki "max latency" 10 r.Audit.max_ack_latency;
+  checki "no violations" 0 (List.length (Audit.violations a))
+
+(* Before any bcast a node's current uid is none, so even uid 0 does not
+   match; after one, only its own uid does. *)
+let test_audit_ack_without_bcast () =
+  let a = mac_audit (Geo.pair ()) in
+  round_ends a ~from:0 ~upto:2;
+  ignore (Audit.ack a ~round:3 ~node:0 ~uid:0 : int);
+  round_ends a ~from:3 ~upto:3;
+  Audit.bcast a ~round:4 ~node:1 ~uid:1;
+  ignore (Audit.ack a ~round:4 ~node:1 ~uid:0 : int);
+  round_ends a ~from:4 ~upto:9;
+  checki "two acks of no current bcast" 2 (finished a).Audit.validity_violations
+
+let test_audit_mac_late_and_missing () =
+  let a = mac_audit ~t_ack:10 (Geo.pair ()) in
+  Audit.bcast a ~round:0 ~node:0 ~uid:0;
+  Audit.bcast a ~round:0 ~node:1 ~uid:0;
+  round_ends a ~from:0 ~upto:24;
+  ignore (Audit.ack a ~round:25 ~node:0 ~uid:0 : int);
+  round_ends a ~from:25 ~upto:49;
+  let r = finished a in
+  checki "late" 1 r.Audit.late_ack_count;
+  checki "missing" 1 r.Audit.missing_ack_count;
+  checki "validity" 0 r.Audit.validity_violations
+
+let test_audit_recv_no_bcast () =
+  let a = mac_audit (Geo.pair ()) in
+  round_ends a ~from:0 ~upto:1;
+  Audit.recv a ~round:2 ~node:1 ~src:0 ~uid:0;
+  round_ends a ~from:2 ~upto:9;
+  checki "invalid" 1 (finished a).Audit.validity_violations
+
+let test_audit_recv_not_neighbour () =
+  (* line 0-1-2 with r = 1: nodes 0 and 2 are not G'-neighbours *)
+  let a = mac_audit (Geo.line ~n:3 ~spacing:0.9 ~r:1.0 ()) in
+  Audit.bcast a ~round:0 ~node:0 ~uid:0;
+  round_ends a ~from:0 ~upto:1;
+  Audit.recv a ~round:2 ~node:2 ~src:0 ~uid:0;
+  round_ends a ~from:2 ~upto:9;
+  checki "invalid" 1 (finished a).Audit.validity_violations
+
+let test_audit_recv_in_ack_round () =
+  (* the ack is observed before the neighbour's recv of the same round *)
+  let a = mac_audit (Geo.pair ()) in
+  Audit.bcast a ~round:0 ~node:0 ~uid:0;
+  round_ends a ~from:0 ~upto:6;
+  ignore (Audit.ack a ~round:7 ~node:0 ~uid:0 : int);
+  Audit.recv a ~round:7 ~node:1 ~src:0 ~uid:0;
+  round_ends a ~from:7 ~upto:9;
+  checki "valid" 0 (finished a).Audit.validity_violations
+
+let test_audit_duplicate_recv () =
+  let a = mac_audit (Geo.pair ()) in
+  Audit.bcast a ~round:0 ~node:0 ~uid:0;
+  round_ends a ~from:0 ~upto:1;
+  Audit.recv a ~round:2 ~node:1 ~src:0 ~uid:0;
+  round_ends a ~from:2 ~upto:2;
+  Audit.recv a ~round:3 ~node:1 ~src:0 ~uid:0;
+  round_ends a ~from:3 ~upto:9;
+  checki "duplicate" 1 (finished a).Audit.validity_violations
+
+(* A restart brings back a process that never received the message, so
+   it may receive it anew; from then on it is a survivor again. *)
+let test_audit_revived_receiver () =
+  let a = mac_audit (Geo.pair ()) in
+  Audit.bcast a ~round:0 ~node:0 ~uid:0;
+  round_ends a ~from:0 ~upto:1;
+  Audit.recv a ~round:2 ~node:1 ~src:0 ~uid:0;
+  round_ends a ~from:2 ~upto:2;
+  Audit.crash a ~round:3 ~node:1;
+  round_ends a ~from:3 ~upto:4;
+  Audit.restart a ~round:5 ~node:1;
+  round_ends a ~from:5 ~upto:5;
+  Audit.recv a ~round:6 ~node:1 ~src:0 ~uid:0;
+  round_ends a ~from:6 ~upto:6;
+  checki "revived receiver hears it anew" 0 (Audit.report a).Audit.validity_violations;
+  Audit.recv a ~round:7 ~node:1 ~src:0 ~uid:0;
+  round_ends a ~from:7 ~upto:9;
+  checki "then a repeat counts" 1 (finished a).Audit.validity_violations
+
+let test_audit_live_mac () =
+  let dual = Geo.clique 4 in
+  let params = Params.of_dual ~tack_phases:2 ~eps1:0.2 dual in
+  let monitor = L.Lb_spec.monitor ~dual ~params () in
+  let recvs = ref 0 in
+  let callbacks =
+    { L.Mac.no_callbacks with on_recv = (fun ~node:_ ~round:_ _ -> incr recvs) }
+  in
+  let mac = L.Mac.create ~callbacks ~params ~rng:(Rng.of_int 8) ~dual () in
+  for node = 0 to 3 do
+    checkb "request accepted" true (L.Mac.request mac ~node ~tag:0)
+  done;
+  let (_ : int) =
+    L.Mac.run mac ~observer:(L.Lb_spec.observe monitor)
+      ~scheduler:(Sch.bernoulli ~seed:8 ~p:0.5)
+      ~rounds:(4 * params.Params.phase_len)
+  in
+  let r = L.Lb_spec.finish monitor in
+  checki "all four acked" 4 r.L.Lb_spec.ack_count;
+  checki "validity" 0 r.L.Lb_spec.validity_violations;
+  checki "late" 0 r.L.Lb_spec.late_ack_count;
+  checki "missing" 0 r.L.Lb_spec.missing_ack_count;
+  checkb "saw receptions" true (!recvs > 0)
+
 (* --- QCheck: online auditor == offline reference scan --- *)
 
 (* One scripted ack history: per node at most one bcast, acked or not.
@@ -705,6 +832,22 @@ let suite =
     Alcotest.test_case "audit: progress obligations" `Quick test_audit_progress;
     Alcotest.test_case "audit: partial trailing phase unjudged" `Quick
       test_audit_partial_phase_unjudged;
+    Alcotest.test_case "audit: MAC clean sequence" `Quick test_audit_mac_clean;
+    Alcotest.test_case "audit: ack of no current bcast" `Quick
+      test_audit_ack_without_bcast;
+    Alcotest.test_case "audit: MAC late and missing acks" `Quick
+      test_audit_mac_late_and_missing;
+    Alcotest.test_case "audit: recv with no active bcast" `Quick
+      test_audit_recv_no_bcast;
+    Alcotest.test_case "audit: recv from a non-G'-neighbour" `Quick
+      test_audit_recv_not_neighbour;
+    Alcotest.test_case "audit: recv in its source's ack round" `Quick
+      test_audit_recv_in_ack_round;
+    Alcotest.test_case "audit: duplicate recv" `Quick test_audit_duplicate_recv;
+    Alcotest.test_case "audit: revived receiver may recv again" `Quick
+      test_audit_revived_receiver;
+    Alcotest.test_case "audit: live MAC run meets the MAC contract" `Quick
+      test_audit_live_mac;
     Alcotest.test_case "engine: sink does not perturb traces" `Quick
       test_sink_does_not_perturb_traces;
     Alcotest.test_case "engine: round_end counts" `Quick
