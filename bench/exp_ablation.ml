@@ -34,7 +34,7 @@ let run () =
             in
             let cycle = refresh * params.Params.phase_len in
             let share = float_of_int params.Params.ts /. float_of_int cycle in
-            let report, _ =
+            let report =
               run_lb_trial ~dual ~params ~senders:[ 0; 15 ]
                 ~phases:(phases * refresh) ~seed ()
             in

@@ -103,12 +103,12 @@ let run_lb_trial ?(scheduler_of_seed = fun seed -> Sch.bernoulli ~seed ~p:0.5)
     L.Service.run ~scheduler:(scheduler_of_seed seed) ?observer ~dual ~params
       ~senders ~phases ~seed ()
   in
-  (outcome.L.Service.report, outcome.L.Service.env_log)
+  outcome.L.Service.report
 
 (* One-shot reliability trial: node 0 broadcasts once at round 0; runs the
    full derived acknowledgement window. *)
 let run_reliability_trial ~dual ~params ~seed =
-  let outcome, completion = L.Service.one_shot ~dual ~params ~sender:0 ~seed () in
+  let outcome, _, completion = L.Service.one_shot ~dual ~params ~sender:0 ~seed () in
   (outcome.L.Service.report, completion)
 
 let lbalg_first_reception ~dual ~params ~scheduler ~receiver ~seed ~max_rounds =

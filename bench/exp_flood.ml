@@ -22,7 +22,7 @@ module Geo = Dualgraph.Geometric
 module Sch = Radiosim.Scheduler
 module Params = Localcast.Params
 module Table = Stats.Table
-module Harness = Baseline.Harness
+module Coverage = Localcast.Coverage
 
 (* The raw flood from node 0: Decay relays live for [relay_epochs]
    epochs from acquisition, node streams split in node order from the
@@ -39,17 +39,17 @@ let decay_flood ~dual ~scheduler ~seed ~relay_epochs ~max_rounds =
           ?initial:(if v = 0 then Some message else None)
           ~window:(relay_epochs * levels) ~rng:(Prng.Rng.split rng) ~node:v ())
   in
-  let cov = Harness.coverage ~n ~source:0 in
+  let cov = Coverage.create ~n ~source:0 in
   let (_ : int) =
-    Radiosim.Engine.run ~observer:(Harness.observe cov)
-      ~stop:(fun _ -> cov.Harness.covered = n)
+    Radiosim.Engine.run ~observer:(Coverage.observe cov)
+      ~stop:(fun _ -> cov.Coverage.covered = n)
       ~dual ~scheduler ~nodes
       ~env:(Radiosim.Env.null ~name:"flood-decay" ())
       ~rounds:max_rounds ()
   in
-  ( cov.Harness.covered,
-    if cov.Harness.covered = n then
-      Some (Array.fold_left max 0 cov.Harness.first)
+  ( cov.Coverage.covered,
+    if cov.Coverage.covered = n then
+      Some (Array.fold_left max 0 cov.Coverage.first)
     else None )
 
 let run () =

@@ -57,7 +57,7 @@ let run () =
                 ~seed
             in
             (* service guarantee at this r *)
-            let report, _ =
+            let report =
               run_lb_trial ~dual ~params ~senders:[ 0; 20 ] ~phases ~seed ()
             in
             ( Dual.delta' dual,

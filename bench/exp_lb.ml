@@ -38,7 +38,7 @@ let e5 () =
       let samples =
         run_trials ~salt:delta ~n:trials (fun ~trial:_ ~seed ->
             let senders = List.init (delta - 1) (fun i -> i + 1) in
-            let report, _ = run_lb_trial ~dual ~params ~senders ~phases ~seed () in
+            let report = run_lb_trial ~dual ~params ~senders ~phases ~seed () in
             ( report.L.Lb_spec.progress_opportunities,
               report.L.Lb_spec.progress_failures,
               List.map float_of_int report.L.Lb_spec.progress_latencies ))
@@ -84,7 +84,7 @@ let e5 () =
         run_trials ~n:trials (fun ~trial:_ ~seed ->
             let dual = random_field ~seed ~n:40 () in
             let params = Params.of_dual ~eps1 ~tack_phases:2 dual in
-            let report, _ =
+            let report =
               run_lb_trial ~dual ~params ~senders:[ 0; 13; 26 ] ~phases ~seed ()
             in
             ( Params.t_prog_rounds params,
@@ -204,7 +204,7 @@ let e7 () =
               end
             in
             let senders = List.init delta (fun i -> i + 1) in
-            let (_ : L.Lb_spec.report * L.Lb_env.entry list) =
+            let (_ : L.Lb_spec.report) =
               run_lb_trial ~observer ~dual ~params ~senders ~phases ~seed ()
             in
             (!body_rounds, !receptions, !from_v))

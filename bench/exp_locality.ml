@@ -36,7 +36,7 @@ let run () =
                 ~height:side ~r:1.5 ~gray_g':0.5 ()
             in
             let senders = List.init (max 1 (n / 10)) (fun i -> i * 10) in
-            let report, _ = run_lb_trial ~dual ~params ~senders ~phases ~seed () in
+            let report = run_lb_trial ~dual ~params ~senders ~phases ~seed () in
             ( report.L.Lb_spec.progress_opportunities,
               report.L.Lb_spec.progress_failures,
               report.L.Lb_spec.validity_violations,

@@ -58,9 +58,9 @@ let run () =
   Obs.Audit.finish auditor;
   let report = outcome.L.Service.report in
   let violations = Obs.Audit.violations auditor in
-  let latencies = List.map (fun (_, _, l) -> l) (Obs.Audit.ack_latencies auditor) in
-  let audit_acks = List.length latencies in
-  let audit_max_latency = List.fold_left max 0 latencies in
+  let audit_report = Obs.Audit.report auditor in
+  let audit_acks = audit_report.Obs.Audit.ack_count in
+  let audit_max_latency = audit_report.Obs.Audit.max_ack_latency in
   let audit_late =
     count_kind violations (function Obs.Audit.Late_ack _ -> true | _ -> false)
   in

@@ -137,7 +137,7 @@ let one_shot () =
         run_trials ~n:trials (fun ~trial:_ ~seed ->
             let dual = random_field ~seed ~n () in
             let params = Params.of_dual ~eps1:0.1 ~tack_phases:2 dual in
-            let outcome, completion =
+            let outcome, _, completion =
               L.Service.one_shot ~reception ~dual ~params ~sender:0 ~seed ()
             in
             let r = outcome.L.Service.report in

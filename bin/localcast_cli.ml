@@ -351,7 +351,6 @@ let run_cmd =
       | Some _ -> Some (L.Service.reviver ~params ~seed ())
     in
     let reception = reception_of reception in
-    let monitor = L.Lb_spec.monitor ?faults ~dual ~params ~env:envt () in
     (* Observability wiring: any of --events/--metrics/--audit needs the
        event stream, so they share one sink sized to the whole run. *)
     let want_obs = events <> None || metrics_path <> None || audit in
@@ -373,12 +372,12 @@ let run_cmd =
       end
       else None
     in
-    let obs =
-      Option.map (fun s -> L.Lb_obs.attach ?metrics:registry ~sink:s monitor) sink
+    let monitor, obs, observer =
+      L.Lb_obs.wire ~faults ~sink ~metrics:registry ~observer:None ~dual ~params
     in
     let executed, secs =
       Stats.Experiment.time (fun () ->
-          Radiosim.Engine.run ~observer:(L.Lb_spec.observe monitor) ?sink
+          Radiosim.Engine.run ~observer ?sink
             ?metrics:registry ?faults ?revive ~reception ~dual
             ~scheduler:(scheduler ~seed) ~nodes ~env:(L.Lb_env.env envt)
             ~rounds ())

@@ -14,22 +14,3 @@ let first_reception ~dual ~scheduler ~nodes ~receiver ~max_rounds =
     Radiosim.Engine.run ~stop ~dual ~scheduler ~nodes ~env ~rounds:max_rounds ()
   in
   !result
-
-type coverage = { source : int; first : int array; mutable covered : int }
-
-let coverage ~n ~source =
-  if source < 0 || source >= n then
-    invalid_arg "Harness.coverage: source out of range";
-  let first = Array.make n max_int in
-  first.(source) <- 0;
-  { source; first; covered = 1 }
-
-let observe cov record =
-  Array.iteri
-    (fun v -> function
-      | Some (Localcast.Messages.Data p)
-        when p.Localcast.Messages.src = cov.source && cov.first.(v) = max_int ->
-          cov.first.(v) <- record.Radiosim.Trace.round;
-          cov.covered <- cov.covered + 1
-      | _ -> ())
-    record.Radiosim.Trace.delivered

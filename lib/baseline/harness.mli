@@ -3,8 +3,9 @@
     {!first_reception} runs a network of always-active senders plus
     passive listeners and reports how long a designated receiver waits
     for its first clean data reception — the quantity the paper's
-    progress bound controls.  {!observe} tallies every node's first
-    reception of one broadcast (the E18, E20 and E25 relay runs). *)
+    progress bound controls.  {!Localcast.Coverage} tallies every
+    node's first reception of one broadcast (the E18, E20 and E25 relay
+    runs). *)
 
 val first_reception :
   dual:Dualgraph.Dual.t ->
@@ -18,20 +19,3 @@ val first_reception :
 
 val receiver : unit -> (Localcast.Messages.msg, unit, unit) Radiosim.Process.node
 (** A silent listener. *)
-
-type coverage = {
-  source : int;
-  first : int array;
-      (** per node, the round of its first clean reception of [source]'s
-          payload: [max_int] while it has none, [0] at the source *)
-  mutable covered : int;  (** nodes with a first reception, source included *)
-}
-
-val coverage : n:int -> source:int -> coverage
-(** Fresh tallies: only the source is covered.  Raises
-    [Invalid_argument] unless [0 <= source < n]. *)
-
-val observe :
-  coverage -> (Localcast.Messages.msg, 'i, 'o) Radiosim.Trace.round_record -> unit
-(** The engine observer that keeps the tallies.  The engine calls [stop]
-    after the observer, so [stop] may read [covered]. *)

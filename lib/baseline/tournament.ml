@@ -74,8 +74,8 @@ let strategy_trial arena spec ~seed =
           ~rng:(Strategy.node_rng ~seed ~node:v ())
           ~node:v ())
   in
-  let cov = Harness.coverage ~n ~source:sender in
-  let observer = Harness.observe cov in
+  let cov = Localcast.Coverage.create ~n ~source:sender in
+  let observer = Localcast.Coverage.observe cov in
   let sink = Obs.Sink.create () in
   let cost = transmit_counter sink in
   let plan = Option.map (fun f -> f ~seed) arena.plan_of in
@@ -98,11 +98,10 @@ let strategy_trial arena spec ~seed =
           ~adversary:(Radiosim.Adaptive.jam dual)
           ~nodes ~env ~rounds:horizon ()
   in
-  (cov.Harness.first, !cost, plan)
+  (cov.Localcast.Coverage.first, !cost, plan)
 
 let lbalg_trial arena ~seed =
   let { dual; params; sender; _ } = arena in
-  let n = Dual.n dual in
   let sink = Obs.Sink.create () in
   let cost = transmit_counter sink in
   let plan = Option.map (fun f -> f ~seed) arena.plan_of in
@@ -111,18 +110,11 @@ let lbalg_trial arena ~seed =
     | Oblivious f -> Some (f ~seed)
     | Adaptive_jam -> None
   in
-  let outcome, _completion =
+  let _, cov, _ =
     Localcast.Service.one_shot ?scheduler ~sink ?faults:plan ~dual ~params
       ~sender ~seed ()
   in
-  let first = Array.make n max_int in
-  (match outcome.Localcast.Service.env_log with
-  | [ entry ] ->
-      List.iter
-        (fun (v, round) -> if round < first.(v) then first.(v) <- round)
-        entry.Localcast.Lb_env.recv_rounds
-  | _ -> ());
-  (first, !cost, plan)
+  (cov.Localcast.Coverage.first, !cost, plan)
 
 let sample_of arena ~plan ~cost first =
   let { dual; sender; horizon; _ } = arena in

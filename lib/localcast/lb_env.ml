@@ -1,85 +1,85 @@
-type entry = {
-  node : int;
-  payload : Messages.payload;
-  bcast_round : int;
-  mutable ack_round : int option;
-  mutable recv_rounds : (int * int) list;
+type callbacks = {
+  on_recv : node:int -> round:int -> Messages.payload -> unit;
+  on_ack : node:int -> round:int -> Messages.payload -> unit;
 }
+
+let no_callbacks =
+  {
+    on_recv = (fun ~node:_ ~round:_ _ -> ());
+    on_ack = (fun ~node:_ ~round:_ _ -> ());
+  }
 
 type t = {
-  env : (Messages.lb_input, Messages.lb_output) Radiosim.Env.t;
-  entries : entry list ref;
+  name : string;
+  from : int array;  (** the slot's handover round, max_int when empty *)
+  tag : int array;  (** the slot's tag *)
+  uid : int array;  (** bcasts handed over so far: the next uid *)
+  outstanding : bool array;  (** handed over, ack not yet seen *)
+  mutable callbacks : callbacks;
 }
 
-let env t = t.env
+let create ~name ~n callbacks =
+  {
+    name;
+    from = Array.make n max_int;
+    tag = Array.make n 0;
+    uid = Array.make n 0;
+    outstanding = Array.make n false;
+    callbacks;
+  }
 
-let log t = List.rev !(t.entries)
+let busy t ~node = t.outstanding.(node) || t.from.(node) < max_int
+let bcasts t ~node = t.uid.(node)
 
-let find_in entries ~node payload =
-  List.find_opt
-    (fun e -> e.node = node && Messages.payload_equal e.payload payload)
-    !entries
+let request t ~node ~round ~tag =
+  if busy t ~node then false
+  else begin
+    t.from.(node) <- round;
+    t.tag.(node) <- tag;
+    true
+  end
 
-(* Shared machinery: [schedule.(v)] holds the round at which node [v]
-   should next receive a bcast (if any); [notify] logs acks/recvs and, when
-   [reissue] is set, schedules the next bcast one round after each ack. *)
-let make ~name ~n ~initial ~reissue =
-  let schedule = Array.make n None in
-  let next_uid = Array.make n 0 in
-  let entries = ref [] in
-  List.iter (fun (node, round) -> schedule.(node) <- Some round) initial;
-  let env =
-    {
-      Radiosim.Env.name;
-          (* [inputs] consumes the schedule slot — a side effect. *)
-          pure_inputs = false;
-          inputs =
-            (fun ~round ~node ->
-              (* [r <= round], not [r = round]: a node that was dead (not
-                 polled) at its scheduled round receives the bcast at the
-                 first round it is alive again.  Without faults the two
-                 are equivalent — inputs are polled every round. *)
-              match schedule.(node) with
-              | Some r when r <= round ->
-                  schedule.(node) <- None;
-                  let payload =
-                    Messages.payload ~src:node ~uid:next_uid.(node) ()
-                  in
-                  next_uid.(node) <- next_uid.(node) + 1;
-                  entries :=
-                    {
-                      node;
-                      payload;
-                      bcast_round = round;
-                      ack_round = None;
-                      recv_rounds = [];
-                    }
-                    :: !entries;
-                  [ Messages.Bcast payload ]
-              | _ -> []);
-          notify =
-            (fun ~round ~node outs ->
-              List.iter
-                (fun out ->
-                  match out with
-                  | Messages.Ack payload ->
-                      (match find_in entries ~node payload with
-                      | Some e -> e.ack_round <- Some round
-                      | None -> ());
-                      if reissue then schedule.(node) <- Some (round + 1)
-                  | Messages.Recv payload ->
-                      (match find_in entries ~node:payload.Messages.src payload with
-                      | Some e -> e.recv_rounds <- (node, round) :: e.recv_rounds
-                      | None -> ())
-                  | Messages.Committed _ -> ())
-                outs);
-    }
-  in
-  { env; entries }
+(* [from <= round], not [=]: a node that was dead (not polled) at its
+   slot's round receives the bcast at the first round it is alive again.
+   Without faults the two are equivalent: inputs are polled every
+   round. *)
+let inputs t ~round ~node =
+  if t.from.(node) > round then []
+  else begin
+    let uid = t.uid.(node) in
+    t.from.(node) <- max_int;
+    t.uid.(node) <- uid + 1;
+    t.outstanding.(node) <- true;
+    [ Messages.Bcast (Messages.payload ~tag:t.tag.(node) ~src:node ~uid ()) ]
+  end
+
+let notify t ~round ~node outs =
+  List.iter
+    (function
+      | Messages.Recv payload -> t.callbacks.on_recv ~node ~round payload
+      | Messages.Ack payload ->
+          t.outstanding.(node) <- false;
+          t.callbacks.on_ack ~node ~round payload
+      | Messages.Committed _ -> ())
+    outs
+
+let env t =
+  {
+    Radiosim.Env.name = t.name;
+    (* [inputs] empties the slot — a side effect. *)
+    pure_inputs = false;
+    inputs = inputs t;
+    notify = notify t;
+  }
 
 let saturate ?(start = 0) ~n ~senders () =
-  make ~name:"saturate" ~n
-    ~initial:(List.map (fun v -> (v, start)) senders)
-    ~reissue:true
+  let t = create ~name:"saturate" ~n no_callbacks in
+  let reissue ~node ~round _ = ignore (request t ~node ~round:(round + 1) ~tag:0) in
+  t.callbacks <- { no_callbacks with on_ack = reissue };
+  List.iter (fun node -> ignore (request t ~node ~round:start ~tag:0)) senders;
+  t
 
-let one_shot ~n ~bcasts = make ~name:"one-shot" ~n ~initial:bcasts ~reissue:false
+let one_shot ~n ~bcasts =
+  let t = create ~name:"one-shot" ~n no_callbacks in
+  List.iter (fun (node, round) -> ignore (request t ~node ~round ~tag:0)) bcasts;
+  t

@@ -69,3 +69,16 @@ let attach ?metrics ~sink monitor =
 let snapshots t = List.rev t.snapshots_rev
 
 let auditor = Lb_spec.auditor
+
+let wire ~faults ~sink ~metrics ~observer ~dual ~params =
+  let monitor = Lb_spec.monitor ?faults ~dual ~params () in
+  let obs = Option.map (fun sink -> attach ?metrics ~sink monitor) sink in
+  let observe =
+    match observer with
+    | None -> Lb_spec.observe monitor
+    | Some f ->
+        fun record ->
+          Lb_spec.observe monitor record;
+          f record
+  in
+  (monitor, obs, observe)

@@ -13,8 +13,8 @@
     (alongside the sink) and the engine's structural stream interleaves
     with the protocol stream in causal order: each round's protocol
     events land between its [Round_start] and [Round_end] brackets — the
-    ordering {!Obs.Audit.observe} relies on.  {!Localcast.Service} does
-    this wiring for you. *)
+    ordering {!Obs.Audit.observe} relies on.  {!wire} does this wiring
+    for {!Service}, {!Mac} and the CLI. *)
 
 type t
 
@@ -32,6 +32,19 @@ val attach : ?metrics:Obs.Metrics.t -> sink:Obs.Sink.t -> Lb_spec.monitor -> t
     [phase-1], …) is taken as each complete phase closes.  The counters
     are fed by a streaming consumer registered on [sink], so the engine
     counters also count events the engine emits directly. *)
+
+val wire :
+  faults:Faults.Plan.t option ->
+  sink:Obs.Sink.t option ->
+  metrics:Obs.Metrics.t option ->
+  observer:(Lb_spec.record -> unit) option ->
+  dual:Dualgraph.Dual.t ->
+  params:Params.t ->
+  Lb_spec.monitor * t option * (Lb_spec.record -> unit)
+(** A fresh {!Lb_spec.monitor}, {!attach}ed to [sink] when there is one,
+    and the engine observer that feeds it each record and then calls
+    [observer].  Register event consumers that must see the whole
+    stream (an {!Obs.Audit}) on [sink] before this call. *)
 
 val snapshots : t -> Obs.Metrics.snapshot list
 (** The per-phase snapshots taken so far, oldest first (empty without a

@@ -81,7 +81,7 @@ val finish : monitor -> report
     carries no progress obligation.  Idempotent. *)
 
 val audit : monitor -> Obs.Audit.t
-(** The core the monitor feeds, for its violations and ack latencies. *)
+(** The core the monitor feeds, for its violations. *)
 
 val params : monitor -> Params.t
 

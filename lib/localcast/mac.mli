@@ -6,15 +6,16 @@
     acknowledgement bound [f_ack], hiding all channel details.  LBAlg's
     interface is already event-shaped, so the adaptation the paper calls
     "likely straightforward" amounts to this module: it packages an LBAlg
-    network plus an environment that routes the events to application
-    callbacks, enforces the one-outstanding-bcast rule, and reports
+    network plus the {!Lb_env} environment, whose request slot enforces
+    the one-outstanding-bcast rule (§4.1's contract is stated there) and
+    whose callbacks carry the events to the application, and it reports
     [f_prog = t_prog] and [f_ack = t_ack].
 
     Applications written against this interface (e.g. {!Macapps.Serve},
     whose one-message batch is the flood) run on the dual graph model
     unchanged — the porting claim of the paper's introduction. *)
 
-type callbacks = {
+type callbacks = Lb_env.callbacks = {
   on_recv : node:int -> round:int -> Messages.payload -> unit;
   on_ack : node:int -> round:int -> Messages.payload -> unit;
 }
@@ -73,14 +74,14 @@ val run :
     happen); returns rounds executed.  May only be called once per [t].
 
     [tick] fires once at the top of every round, before any node's
-    queued bcast is popped — the hook open-loop workload drivers
+    requested bcast is handed over — the hook open-loop workload drivers
     ({!Macapps.Serve}) use to inject this round's arrivals: a
     {!request} made inside the tick is delivered to the MAC in the same
     round, deterministically, for every node.  (Under a fault plan the
     tick rides the first {e live} node's input poll; a round in which
     every node is dead has no tick.)
     [sink] receives the engine's structural events interleaved with the
-    protocol events of an {!Lb_spec} monitor tapped by {!Lb_obs.attach}
+    protocol events of an {!Lb_spec} monitor wired by {!Lb_obs.wire}
     (under [faults] too), as in {!Service.run}; when
     [metrics] is also given the conventional instruments (see
     [docs/OBSERVABILITY.md]) are maintained in it.  [metrics] without

@@ -5,27 +5,18 @@ module Trace = Radiosim.Trace
 
 type outcome = {
   report : Lb_spec.report;
-  env_log : Lb_env.entry list;
   rounds_executed : int;
   obs_snapshots : Obs.Metrics.snapshot list;
 }
 
 let default_scheduler ~seed = Sch.bernoulli ~seed ~p:0.5
 
-let finish ?obs ~monitor ~envt ~rounds_executed () =
+let finish ~monitor ~obs ~rounds_executed =
   {
     report = Lb_spec.finish monitor;
-    env_log = Lb_env.log envt;
     rounds_executed;
     obs_snapshots = (match obs with Some o -> Lb_obs.snapshots o | None -> []);
   }
-
-(* The spec monitor, with the protocol-event tap of [run] and [one_shot]
-   attached when a sink is present (metrics ride on it). *)
-let spec_monitor ?sink ?metrics ?faults ~dual ~params () =
-  let monitor = Lb_spec.monitor ?faults ~dual ~params () in
-  let obs = Option.map (fun sink -> Lb_obs.attach ?metrics ~sink monitor) sink in
-  (monitor, obs)
 
 (* A restarted node re-enters with fresh SeedAlg state: a brand-new
    LBAlg process whose generator is derived from (seed, node, round) via
@@ -49,24 +40,18 @@ let run ?scheduler ?seed_source ?observer ?sink ?metrics ?faults ?reception
   let rng = Prng.Rng.of_int seed in
   let nodes = Lb_alg.network ?seed_source params ~rng ~n in
   let envt = Lb_env.saturate ~n ~senders () in
-  let monitor, obs = spec_monitor ?sink ?metrics ?faults ~dual ~params () in
-  let observe =
-    match observer with
-    | None -> Lb_spec.observe monitor
-    | Some f ->
-        fun record ->
-          Lb_spec.observe monitor record;
-          f record
+  let monitor, obs, observer =
+    Lb_obs.wire ~faults ~sink ~metrics ~observer ~dual ~params
   in
   let revive = revive_opt ?seed_source ~params ~seed faults in
   let rounds_executed =
-    Engine.run ~observer:observe ?sink ?metrics ?faults ?revive ?reception
-      ~dual ~scheduler ~nodes
+    Engine.run ~observer ?sink ?metrics ?faults ?revive ?reception ~dual
+      ~scheduler ~nodes
       ~env:(Lb_env.env envt)
       ~rounds:(phases * params.Params.phase_len)
       ()
   in
-  finish ?obs ~monitor ~envt ~rounds_executed ()
+  finish ~monitor ~obs ~rounds_executed
 
 let one_shot ?scheduler ?sink ?metrics ?faults ?reception ~dual ~params
     ~sender ~seed () =
@@ -77,18 +62,22 @@ let one_shot ?scheduler ?sink ?metrics ?faults ?reception ~dual ~params
   let rng = Prng.Rng.of_int seed in
   let nodes = Lb_alg.network params ~rng ~n in
   let envt = Lb_env.one_shot ~n ~bcasts:[ (sender, 0) ] in
-  let monitor, obs = spec_monitor ?sink ?metrics ?faults ~dual ~params () in
+  let cov = Coverage.create ~n ~source:sender in
+  let monitor, obs, observer =
+    Lb_obs.wire ~faults ~sink ~metrics ~observer:(Some (Coverage.observe cov))
+      ~dual ~params
+  in
   let revive = revive_opt ~params ~seed faults in
   let rounds_executed =
-    Engine.run ~observer:(Lb_spec.observe monitor) ?sink ?metrics ?faults
-      ?revive ?reception ~dual ~scheduler ~nodes
+    Engine.run ~observer ?sink ?metrics ?faults ?revive ?reception ~dual
+      ~scheduler ~nodes
       ~env:(Lb_env.env envt)
       ~rounds:(Params.t_ack_rounds params)
       ()
   in
-  let outcome = finish ?obs ~monitor ~envt ~rounds_executed () in
   (* Completion is survivor-relative under a fault plan: only reliable
-     neighbors alive for the whole run owe (and are owed) a reception. *)
+     neighbors alive for the whole run owe (and are owed) a reception.
+     A sender never alive has no bcast to complete. *)
   let counts v =
     match faults with
     | None -> true
@@ -97,24 +86,18 @@ let one_shot ?scheduler ?sink ?metrics ?faults ?reception ~dual ~params
           ~until:(rounds_executed - 1)
   in
   let completion =
-    match outcome.env_log with
-    | [ entry ] ->
-        let last = ref 0 and all = ref true in
-        Dual.iter_reliable_neighbors dual sender (fun v ->
-            if counts v then begin
-              let first_recv =
-                List.filter_map
-                  (fun (u, round) -> if u = v then Some round else None)
-                  entry.Lb_env.recv_rounds
-                |> List.fold_left min max_int
-              in
-              if first_recv = max_int then all := false
-              else if first_recv > !last then last := first_recv
-            end);
-        if !all then Some !last else None
-    | _ -> None
+    if Lb_env.bcasts envt ~node:sender = 0 then None
+    else begin
+      let last = ref 0 and all = ref true in
+      Dual.iter_reliable_neighbors dual sender (fun v ->
+          if counts v then
+            let first = cov.Coverage.first.(v) in
+            if first = max_int then all := false
+            else if first > !last then last := first);
+      if !all then Some !last else None
+    end
   in
-  (outcome, completion)
+  (finish ~monitor ~obs ~rounds_executed, cov, completion)
 
 let first_reception ?scheduler ?seed_source ?sink ?faults ?reception ~dual
     ~params ~receiver ~max_rounds ~seed () =

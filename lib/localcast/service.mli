@@ -10,7 +10,6 @@
 
 type outcome = {
   report : Lb_spec.report;  (** the spec monitor's verdicts *)
-  env_log : Lb_env.entry list;  (** per-bcast ack/reception log *)
   rounds_executed : int;
   obs_snapshots : Obs.Metrics.snapshot list;
       (** per-phase metric snapshots, oldest first; non-empty only when
@@ -55,7 +54,7 @@ val run :
     round record.
 
     [sink] turns on observability: the engine emits its structural
-    events into it and the spec monitor's walk ({!Lb_obs.attach}) adds
+    events into it and the spec monitor's walk ({!Lb_obs.wire}) adds
     the protocol events, interleaved in causal order (an {!Obs.Audit} consumer registered on
     the sink before the call sees the complete stream).  [metrics], used
     together with [sink], additionally maintains the conventional
@@ -89,13 +88,16 @@ val one_shot :
   sender:int ->
   seed:int ->
   unit ->
-  outcome * int option
+  outcome * Coverage.t * int option
 (** A single [bcast] at round 0, run for the full derived
-    acknowledgement window [t_ack].  The second component is the round by
-    which the {e last} reliable neighbor had received the message, if all
-    of them did.  [sink], [metrics], [faults] and [reception]
-    behave as in {!run}; under a fault plan, completion is judged over
-    the {e survivor} neighbors (alive for the whole run) only. *)
+    acknowledgement window [t_ack].  The second component tallies each
+    node's first reception of the message (its first [Recv], see
+    {!Coverage}).  The third is the round by which the {e last} reliable
+    neighbor had received the message, if all of them did, and [None]
+    when the sender, never alive during the run, was never handed its
+    bcast.  [sink], [metrics], [faults] and [reception] behave as in
+    {!run}; under a fault plan, completion is judged over the {e
+    survivor} neighbors (alive for the whole run) only. *)
 
 val first_reception :
   ?scheduler:Radiosim.Scheduler.t ->

@@ -226,4 +226,6 @@ val run :
     Without a [sink] the whole stack's footprint is flat in run length
     too: LBAlg keeps one entry per source a node hears, and the glue
     keeps nothing that grows.  A [sink] adds an {!Localcast.Lb_spec}
-    monitor, whose auditor keeps a list entry per ack. *)
+    monitor, whose auditor still keeps a list entry per progress
+    reception (the report's [progress_latencies]) and one evidence
+    window per violation. *)

@@ -59,7 +59,6 @@ type t = {
   mutable cur_round : int;
   mutable finished : bool;
   mutable violations_rev : violation list;
-  mutable acks_rev : (int * int * int) list;
   mutable invalid : int;
   mutable acks : int;
   mutable late : int;
@@ -106,7 +105,6 @@ let create ?(window = 64) ?t_prog ?delta_bound ?(g = Graph.empty 0)
     cur_round = -1;
     finished = false;
     violations_rev = [];
-    acks_rev = [];
     invalid = 0;
     acks = 0;
     late = 0;
@@ -244,7 +242,6 @@ let ack t ~round ~node ~uid =
      the same round count. *)
   t.acked <- (node, if b >= 0 then b else round) :: t.acked;
   let latency = if b >= 0 then round - b else 0 in
-  t.acks_rev <- (node, uid, latency) :: t.acks_rev;
   if b >= 0 then begin
     t.since.(node) <- -1;
     t.max_latency <- Int.max t.max_latency latency;
@@ -387,5 +384,4 @@ let report t =
   }
 
 let violations t = List.rev t.violations_rev
-let ack_latencies t = List.rev t.acks_rev
 let rounds_seen t = t.cur_round + 1

@@ -162,10 +162,6 @@ val report : t -> report
 val violations : t -> violation list
 (** In detection order; callable before {!finish} for live monitoring. *)
 
-val ack_latencies : t -> (int * int * int) list
-(** Every ack as [(node, uid, latency)], in ack order (including acks
-    already flagged missing). *)
-
 val rounds_seen : t -> int
 (** Last round seen + 1. *)
 

@@ -309,35 +309,108 @@ let test_deterministic_replay () =
 
 (* --- Lb_env --- *)
 
+(* Node [v]'s recorded bcast inputs and ack outputs as (round, payload),
+   in round order. *)
+let bcasts_of trace v =
+  List.rev
+    (Trace.fold
+       (fun acc r ->
+         List.fold_left (fun acc (M.Bcast p) -> (r.Trace.round, p) :: acc) acc
+           r.Trace.inputs.(v))
+       [] trace)
+
+let acks_of trace v =
+  List.filter_map
+    (function round, M.Ack p -> Some (round, p) | _ -> None)
+    (Trace.outputs_of trace v)
+
+(* The saturating environment's contract on node [v]'s recorded bcasts
+   and acks: the first bcast comes at [next], uids count up from 0 (so
+   payloads are unique), each ack answers the bcast before it and the
+   next bcast comes one round after it, and only the last bcast may be
+   outstanding — bcasts = acks + outstanding. *)
+let reissued ~v ~next bcasts acks =
+  let rec go ~next ~uid bcasts acks =
+    match (bcasts, acks) with
+    | [], [] -> true
+    | [ (r, p) ], [] -> r = next && p.M.src = v && p.M.uid = uid
+    | (r, p) :: bcasts, (ra, pa) :: acks ->
+        r = next && p.M.src = v && p.M.uid = uid && M.payload_equal p pa
+        && ra >= r
+        && go ~next:(ra + 1) ~uid:(uid + 1) bcasts acks
+    | _ -> false
+  in
+  go ~next ~uid:0 bcasts acks
+
 let test_env_one_shot () =
   let dual = Geo.pair () in
   let params = small_params ~tack_phases:1 dual in
   let envt = Lb_env.one_shot ~n:2 ~bcasts:[ (0, 0) ] in
-  let (_ : 'a * 'b) = run_lb ~params ~envt ~rounds:(3 * params.Params.phase_len) dual in
-  let log = Lb_env.log envt in
-  checki "exactly one entry" 1 (List.length log);
-  let entry = List.hd log in
-  checki "entry node" 0 entry.Lb_env.node;
-  checki "bcast round" 0 entry.Lb_env.bcast_round;
-  checkb "acked" true (entry.Lb_env.ack_round <> None);
-  checkb "receiver logged" true
-    (List.exists (fun (v, _) -> v = 1) entry.Lb_env.recv_rounds)
+  let trace, _ = run_lb ~params ~envt ~rounds:(3 * params.Params.phase_len) dual in
+  let m = M.payload ~src:0 ~uid:0 () in
+  checkb "one bcast, at node 0 and round 0" true (bcasts_of trace 0 = [ (0, m) ]);
+  checkb "none at node 1" true (bcasts_of trace 1 = []);
+  checki "handed over once" 1 (Lb_env.bcasts envt ~node:0);
+  checkb "acked" true (List.map snd (acks_of trace 0) = [ m ]);
+  checkb "idle after the ack" false (Lb_env.busy envt ~node:0);
+  checkb "receiver got it" true
+    (List.exists (fun (_, out) -> out = M.Recv m) (Trace.outputs_of trace 1))
 
 let test_env_saturate_reissues () =
   let dual = Geo.singleton () in
   let params = small_params ~tack_phases:1 dual in
   let envt = Lb_env.saturate ~n:1 ~senders:[ 0 ] () in
-  let (_ : 'a * 'b) = run_lb ~params ~envt ~rounds:(5 * params.Params.phase_len) dual in
-  checkb "multiple entries issued" true (List.length (Lb_env.log envt) >= 3)
+  let trace, _ = run_lb ~params ~envt ~rounds:(5 * params.Params.phase_len) dual in
+  let bcasts = bcasts_of trace 0 in
+  checkb "multiple bcasts issued" true (List.length bcasts >= 3);
+  checki "every handover recorded" (List.length bcasts) (Lb_env.bcasts envt ~node:0);
+  checkb "each re-issued one round after its ack" true
+    (reissued ~v:0 ~next:0 bcasts (acks_of trace 0))
 
 let test_env_unique_payloads () =
   let dual = Geo.singleton () in
   let params = small_params ~tack_phases:1 dual in
   let envt = Lb_env.saturate ~n:1 ~senders:[ 0 ] () in
-  let (_ : 'a * 'b) = run_lb ~params ~envt ~rounds:(5 * params.Params.phase_len) dual in
-  let payloads = List.map (fun e -> e.Lb_env.payload) (Lb_env.log envt) in
+  let trace, _ = run_lb ~params ~envt ~rounds:(5 * params.Params.phase_len) dual in
+  let payloads = List.map snd (bcasts_of trace 0) in
   checki "payloads unique" (List.length payloads)
     (List.length (List.sort_uniq compare payloads))
+
+(* Nothing the environment keeps grows with run length: a 48-node field
+   where every node saturates, with no monitor, holds as many live words
+   at the end of phase 32 as at the end of phase 8. *)
+let test_env_saturate_flat () =
+  let n = 48 in
+  let side = sqrt 24.0 in
+  let dual =
+    Geo.random_field ~rng:(Rng.of_int 11) ~n ~width:side ~height:side ~r:1.5
+      ~gray_g':0.5 ()
+  in
+  let params = Params.of_dual ~eps1:0.1 ~tack_phases:1 dual in
+  let phase_len = params.Params.phase_len in
+  let envt = Lb_env.saturate ~n ~senders:(List.init n Fun.id) () in
+  let live_words () =
+    Gc.full_major ();
+    float_of_int (Gc.quick_stat ()).Gc.live_words
+  in
+  let early = ref 0.0 and late = ref 0.0 in
+  let observer record =
+    let round = record.Trace.round in
+    if round = (8 * phase_len) - 1 then early := live_words ()
+    else if round = (32 * phase_len) - 1 then late := live_words ()
+  in
+  let (_ : int) =
+    Engine.run ~observer ~dual
+      ~scheduler:(Sch.bernoulli ~seed:7 ~p:0.5)
+      ~nodes:(Lb_alg.network params ~rng:(Rng.of_int 7) ~n)
+      ~env:(Lb_env.env envt)
+      ~rounds:(32 * phase_len) ()
+  in
+  checkb
+    (Printf.sprintf "live words %.0f after phase 8, %.0f after phase 32 (within 10%%)"
+       !early !late)
+    true
+    (!early > 0.0 && Float.abs (!late -. !early) <= 0.1 *. !early)
 
 (* --- Lb_spec monitor on synthetic records --- *)
 
@@ -563,6 +636,7 @@ let suite =
       ("env one_shot", test_env_one_shot);
       ("env saturate reissues", test_env_saturate_reissues);
       ("env unique payloads", test_env_unique_payloads);
+      ("saturating environment is flat in run length", test_env_saturate_flat);
       ("spec validity violation", test_spec_validity_violation);
       ("spec valid recv", test_spec_valid_recv);
       ("spec reliability failure", test_spec_reliability_failure);

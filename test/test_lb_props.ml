@@ -304,17 +304,22 @@ let qcheck_cases =
               record.Trace.outputs)
           trace;
         !ok);
-    Test.make ~name:"env log agrees with the spec monitor's ack count"
+    Test.make
+      ~name:
+        "saturating env re-issues one round after each ack; its bcasts = \
+         acks + outstanding, and the acks are the spec monitor's"
       ~count:30 small_int
       (fun seed ->
-        let _, _, _, report, envt = random_run seed in
-        let acked_entries =
-          List.length
-            (List.filter
-               (fun e -> e.Lb_env.ack_round <> None)
-               (Lb_env.log envt))
-        in
-        acked_entries = report.Lb_spec.ack_count);
+        let dual, _, trace, report, envt = random_run seed in
+        let acks = ref 0 and ok = ref true in
+        for v = 0 to Dual.n dual - 1 do
+          let bcasts = Test_lb.bcasts_of trace v
+          and node_acks = Test_lb.acks_of trace v in
+          acks := !acks + List.length node_acks;
+          if not (Test_lb.reissued ~v ~next:0 bcasts node_acks) then ok := false;
+          if List.length bcasts <> Lb_env.bcasts envt ~node:v then ok := false
+        done;
+        !ok && !acks = report.Lb_spec.ack_count);
     Test.make
       ~name:
         "lazy seed cursor is trace-identical to the frozen walking node \

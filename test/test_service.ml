@@ -56,8 +56,7 @@ let test_run_deterministic () =
   let go () =
     let o = Service.run ~dual ~params ~senders:[ 0; 2 ] ~phases:4 ~seed:3 () in
     (o.Service.report.L.Lb_spec.ack_count,
-     o.Service.report.L.Lb_spec.progress_failures,
-     List.length o.Service.env_log)
+     o.Service.report.L.Lb_spec.progress_failures)
   in
   checkb "deterministic" true (go () = go ())
 
@@ -106,7 +105,7 @@ let test_lb_stack_steady_state () =
 let test_one_shot_completion () =
   let dual = Geo.clique 4 in
   let params = small_params ~tack_phases:3 dual in
-  let outcome, completion =
+  let outcome, _, completion =
     Service.one_shot ~scheduler:Sch.reliable_only ~dual ~params ~sender:0 ~seed:5 ()
   in
   checki "one ack" 1 outcome.Service.report.L.Lb_spec.ack_count;
@@ -120,9 +119,22 @@ let test_one_shot_isolated_sender () =
   (* A sender with no reliable neighbors completes vacuously at round 0. *)
   let dual = Geo.singleton () in
   let params = small_params dual in
-  let _, completion = Service.one_shot ~dual ~params ~sender:0 ~seed:6 () in
+  let _, _, completion = Service.one_shot ~dual ~params ~sender:0 ~seed:6 () in
   Alcotest.check (Alcotest.option Alcotest.int) "vacuous completion" (Some 0)
     completion
+
+let test_one_shot_sender_never_alive () =
+  (* A sender dead for the whole run is never handed its bcast: there is
+     nothing to complete, even with no survivor neighbor to judge. *)
+  let dual = Geo.pair () in
+  let params = small_params dual in
+  let faults = Faults.Plan.make ~n:2 ~crashes:[ (0, 0); (1, 0) ] () in
+  let outcome, cov, completion =
+    Service.one_shot ~faults ~dual ~params ~sender:0 ~seed:6 ()
+  in
+  Alcotest.check (Alcotest.option Alcotest.int) "no completion" None completion;
+  checki "no ack" 0 outcome.Service.report.L.Lb_spec.ack_count;
+  checki "only the sender covered" 1 cov.L.Coverage.covered
 
 (* --- Service.first_reception --- *)
 
@@ -149,7 +161,7 @@ let test_first_reception_starves_alone () =
 (* --- the raw Decay flood: windowed Strategy.relay nodes --- *)
 
 module S = Baseline.Strategy
-module Harness = Baseline.Harness
+module Coverage = L.Coverage
 
 (* Every node a Decay relay live for [relay_epochs] epochs from
    acquisition (the source from round 0), node streams split from [rng]
@@ -158,7 +170,7 @@ module Harness = Baseline.Harness
 let decay_flood ?sink ~rng ~dual ~scheduler ~source ~relay_epochs ~max_rounds
     () =
   let n = Dual.n dual in
-  let cov = Harness.coverage ~n ~source in
+  let cov = Coverage.create ~n ~source in
   let levels = S.levels_for ~delta':(Dual.delta' dual) in
   let message = L.Messages.payload ~src:source ~uid:0 () in
   let nodes =
@@ -168,8 +180,8 @@ let decay_flood ?sink ~rng ~dual ~scheduler ~source ~relay_epochs ~max_rounds
           ~window:(relay_epochs * levels) ~rng:(Rng.split rng) ~node:v ())
   in
   let rounds =
-    Radiosim.Engine.run ?sink ~observer:(Harness.observe cov)
-      ~stop:(fun _ -> cov.Harness.covered = n)
+    Radiosim.Engine.run ?sink ~observer:(Coverage.observe cov)
+      ~stop:(fun _ -> cov.Coverage.covered = n)
       ~dual ~scheduler ~nodes
       ~env:(Radiosim.Env.null ~name:"flood-decay" ())
       ~rounds:max_rounds ()
@@ -177,8 +189,8 @@ let decay_flood ?sink ~rng ~dual ~scheduler ~source ~relay_epochs ~max_rounds
   (cov, rounds)
 
 let completion cov =
-  if cov.Harness.covered = Array.length cov.Harness.first then
-    Some (Array.fold_left max 0 cov.Harness.first)
+  if cov.Coverage.covered = Array.length cov.Coverage.first then
+    Some (Array.fold_left max 0 cov.Coverage.first)
   else None
 
 let test_flood_decay_pair () =
@@ -187,14 +199,14 @@ let test_flood_decay_pair () =
     decay_flood ~rng:(Rng.of_int 10) ~dual ~scheduler:Sch.reliable_only
       ~source:0 ~relay_epochs:4 ~max_rounds:500 ()
   in
-  checki "covers both" 2 cov.Harness.covered;
+  checki "covers both" 2 cov.Coverage.covered;
   checkb "fast" true
     (match completion cov with Some round -> round < 100 | None -> false)
 
 let test_flood_decay_validation () =
   let dual = Geo.pair () in
   Alcotest.check_raises "source"
-    (Invalid_argument "Harness.coverage: source out of range") (fun () ->
+    (Invalid_argument "Coverage.create: source out of range") (fun () ->
       ignore
         (decay_flood ~rng:(Rng.of_int 1) ~dual ~scheduler:Sch.reliable_only
            ~source:9 ~relay_epochs:1 ~max_rounds:10 ()));
@@ -214,7 +226,7 @@ let test_flood_decay_no_guarantee () =
       decay_flood ~rng:(Rng.of_int seed) ~dual ~scheduler:Sch.reliable_only
         ~source:0 ~relay_epochs:1 ~max_rounds:5000 ()
     in
-    if cov.Harness.covered < 12 then incr incomplete
+    if cov.Coverage.covered < 12 then incr incomplete
   done;
   checkb "raw flooding sometimes stalls" true (!incomplete > 0)
 
@@ -236,18 +248,69 @@ let test_flood_decay_relay_window_bounded () =
     decay_flood ~sink ~rng:(Rng.of_int 11) ~dual ~scheduler:Sch.reliable_only
       ~source:0 ~relay_epochs ~max_rounds:300 ()
   in
-  checki "island unreachable" 2 cov.Harness.covered;
+  checki "island unreachable" 2 cov.Coverage.covered;
   checki "budget exhausted" 300 rounds;
   let window = relay_epochs * S.levels_for ~delta':(Dual.delta' dual) in
-  let last_close = cov.Harness.first.(1) + 1 + window in
+  let last_close = cov.Coverage.first.(1) + 1 + window in
   checkb "someone transmitted" true (!transmits <> []);
   checkb "no transmission after the last window closes" true
     (List.for_all (fun round -> round < last_close) !transmits)
+
+(* One-shot runs on random fields of 2 to 13 nodes, half of them under
+   churn with fresh-state revival and half over SINR reception:
+   Service.one_shot's first-reception tally against each node's first
+   Recv of the sender's message in a recorded copy of the same run. *)
+let one_shot_tally_is_first_recv seed =
+  let rng = Rng.of_int seed in
+  let n = 2 + Rng.int rng 12 in
+  let dual =
+    Geo.random_field ~rng ~n ~width:2.5 ~height:2.5 ~r:1.5 ~gray_g':0.5 ()
+  in
+  let params = Params.of_dual ~tack_phases:(1 + Rng.int rng 2) ~eps1:0.25 dual in
+  let sender = Rng.int rng n in
+  let rounds = Params.t_ack_rounds params in
+  let faults =
+    if Rng.bool rng then
+      Some
+        (Faults.Plan.churn ~seed ~n ~rounds ~rate:0.01
+           ~downtime:(params.Params.phase_len / 2) ())
+    else None
+  in
+  let reception =
+    if Rng.bool rng then Radiosim.Reception.sinr () else Radiosim.Reception.dual_graph
+  in
+  let _, cov, _ = Service.one_shot ?faults ~reception ~dual ~params ~sender ~seed () in
+  let trace, observer = Radiosim.Trace.recorder () in
+  let envt = L.Lb_env.one_shot ~n ~bcasts:[ (sender, 0) ] in
+  let (_ : int) =
+    Radiosim.Engine.run ~observer ?faults
+      ?revive:(Option.map (fun _ -> Service.reviver ~params ~seed ()) faults)
+      ~reception ~dual
+      ~scheduler:(Sch.bernoulli ~seed ~p:0.5)
+      ~nodes:(L.Lb_alg.network params ~rng:(Rng.of_int seed) ~n)
+      ~env:(L.Lb_env.env envt) ~rounds ()
+  in
+  let first_recv v =
+    List.find_map
+      (function
+        | round, L.Messages.Recv p when p.L.Messages.src = sender -> Some round
+        | _ -> None)
+      (Radiosim.Trace.outputs_of trace v)
+  in
+  List.for_all
+    (fun v ->
+      v = sender || cov.Coverage.first.(v) = Option.value (first_recv v) ~default:max_int)
+    (List.init n Fun.id)
 
 (* A network of windowed Decay relays is draw-for-draw the frozen
    physical-layer flood, on the MAC flood's random arenas. *)
 let qcheck_cases =
   [
+    QCheck.Test.make
+      ~name:
+        "one_shot first receptions = first Recv per node (random fields, \
+         churn, dual and SINR)"
+      ~count:60 QCheck.small_int one_shot_tally_is_first_recv;
     QCheck.Test.make
       ~name:"windowed Decay relays equal the frozen Flood_decay.run" ~count:200
       (QCheck.pair Test_mac.flood_arena_arb (QCheck.int_range 1 3))
@@ -262,7 +325,7 @@ let qcheck_cases =
           decay_flood ~rng:(Rng.of_int seed) ~dual ~scheduler ~source
             ~relay_epochs ~max_rounds ()
         in
-        cov.Harness.covered = frozen.Oracle.Flood_decay.covered_count
+        cov.Coverage.covered = frozen.Oracle.Flood_decay.covered_count
         && completion cov = frozen.Oracle.Flood_decay.completion_round
         && rounds = frozen.Oracle.Flood_decay.rounds_executed);
   ]
@@ -276,6 +339,7 @@ let suite =
       ("LB stack steady state", test_lb_stack_steady_state);
       ("service.one_shot completion", test_one_shot_completion);
       ("service.one_shot isolated", test_one_shot_isolated_sender);
+      ("service.one_shot sender never alive", test_one_shot_sender_never_alive);
       ("service.first_reception", test_first_reception);
       ("service.first_reception starves alone", test_first_reception_starves_alone);
       ("flood_decay pair", test_flood_decay_pair);
