@@ -95,3 +95,7 @@ let iter_neighborhood t u f =
         end
       done
   done
+
+let min_y t = t.miny
+let cell_offsets t = t.off
+let cell_ids t = t.ids

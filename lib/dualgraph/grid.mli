@@ -34,3 +34,22 @@ val iter_neighborhood : t -> int -> (int -> unit) -> unit
     within distance [cell] of [u] ([u] itself included).  Each cell is
     visited once and yields its ids in ascending order, so the full
     visit sequence is a concatenation of at most 9 ascending runs. *)
+
+(** {2 Read-only views}
+
+    For callers that run their own range queries over the buckets.
+    The arrays are the grid's own: do not mutate them. *)
+
+val min_y : t -> float
+(** The smallest y coordinate of the embedding: row [r] covers
+    [y] in [[min_y + r·cell, min_y + (r+1)·cell)] (the last row also
+    takes the top edge). *)
+
+val cell_offsets : t -> int array
+(** The bucket CSR offsets, length [cols · rows + 1]: cell [b] (flat
+    index [column + row · cols]) holds entries
+    [cell_offsets.(b) .. cell_offsets.(b+1) - 1] of {!cell_ids}. *)
+
+val cell_ids : t -> int array
+(** The bucket CSR payload, length [n]: vertex ids bucketed by cell,
+    ascending within a cell. *)

@@ -15,3 +15,15 @@ let observe t record =
           t.covered <- t.covered + 1
       | _ -> ())
     record.Radiosim.Trace.delivered
+
+let first_data ~receiver run =
+  let result = ref None in
+  let stop record =
+    match record.Radiosim.Trace.delivered.(receiver) with
+    | Some (Messages.Data _) ->
+        result := Some record.Radiosim.Trace.round;
+        true
+    | Some (Messages.Seed_msg _) | None -> false
+  in
+  let (_ : int) = run ~stop in
+  !result

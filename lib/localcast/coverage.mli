@@ -22,3 +22,12 @@ val create : n:int -> source:int -> t
 val observe : t -> (Messages.msg, 'i, 'o) Radiosim.Trace.round_record -> unit
 (** The engine observer that keeps the tallies.  The engine calls [stop]
     after the observer, so [stop] may read [covered]. *)
+
+val first_data :
+  receiver:int ->
+  (stop:((Messages.msg, 'i, 'o) Radiosim.Trace.round_record -> bool) -> int) ->
+  int option
+(** [first_data ~receiver run] calls [run ~stop] with the engine [stop]
+    predicate of a first-reception run: it ends the run in the round of
+    [receiver]'s first clean [Data] delivery.  Returns that round
+    (0-based), or [None] if [run] returns without one. *)

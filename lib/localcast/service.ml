@@ -1,7 +1,6 @@
 module Dual = Dualgraph.Dual
 module Sch = Radiosim.Scheduler
 module Engine = Radiosim.Engine
-module Trace = Radiosim.Trace
 
 type outcome = {
   report : Lb_spec.report;
@@ -109,17 +108,7 @@ let first_reception ?scheduler ?seed_source ?sink ?faults ?reception ~dual
   let nodes = Lb_alg.network ?seed_source params ~rng ~n in
   let senders = List.filter (fun v -> v <> receiver) (List.init n Fun.id) in
   let envt = Lb_env.saturate ~n ~senders () in
-  let result = ref None in
-  let stop record =
-    match record.Trace.delivered.(receiver) with
-    | Some (Messages.Data _) ->
-        if !result = None then result := Some record.Trace.round;
-        true
-    | _ -> false
-  in
   let revive = revive_opt ?seed_source ~params ~seed faults in
-  let (_ : int) =
-    Engine.run ~stop ?sink ?faults ?revive ?reception ~dual ~scheduler ~nodes
-      ~env:(Lb_env.env envt) ~rounds:max_rounds ()
-  in
-  !result
+  Coverage.first_data ~receiver (fun ~stop ->
+      Engine.run ~stop ?sink ?faults ?revive ?reception ~dual ~scheduler ~nodes
+        ~env:(Lb_env.env envt) ~rounds:max_rounds ())

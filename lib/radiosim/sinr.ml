@@ -41,11 +41,23 @@ type t = {
   mutable nact : int;
   act_mark : Bytes.t;  (* per-column activation byte, mirrors act *)
   mutable off_checked : bool;  (* one-time load_round sanity assert fired *)
-  (* batched-scan scratch, indexed by slot.  Disjoint slot ranges touch
-     disjoint entries, so concurrent tiles share one t race-free. *)
-  s_lx : float array;  (* listener x, gathered once per scan_slots call *)
-  s_ly : float array;
-  s_best : int array;  (* strongest in-band transmitter, -1 if none *)
+  (* the embedding's grid, kept for the decode-radius range queries:
+     column c's nodes in row r are entries cell_off.(b) .. cell_off.(b+1)
+     - 1 of cell_ids, b = c + r·ncols, ascending by id within a cell *)
+  cell : float;
+  miny : float;
+  rows : int;
+  cell_off : int array;
+  cell_ids : int array;
+  two_over_alpha : float;
+  prunable : bool;  (* the decode cut's guards hold (see decode_cut) *)
+  (* batched-scan scratch.  A tile's slot range of a column is an id
+     range of it, so disjoint slot ranges touch disjoint entries of
+     both the per-slot and the per-node arrays, and concurrent tiles
+     share one t race-free. *)
+  within : Bytes.t;  (* per node: within a decode radius, this scan *)
+  s_best : int array;
+      (* strongest in-band transmitter; -1 if none, -2 if drowned unsummed *)
   s_best_pw : float array;
   s_sum : float array;  (* exact near-band power sum *)
 }
@@ -62,10 +74,20 @@ let create ~params dual =
   in
   let n = Emb.n emb in
   let px = Array.make (max n 1) 0.0 and py = Array.make (max n 1) 0.0 in
+  (* the embedding's extent, for the decode cut's positivity guard;
+     comparisons skip a NaN coordinate, so [numeric] records one *)
+  let x0 = ref infinity and x1 = ref neg_infinity in
+  let y0 = ref infinity and y1 = ref neg_infinity in
+  let numeric = ref true in
   for v = 0 to n - 1 do
-    let pt = Emb.point emb v in
-    px.(v) <- pt.Emb.x;
-    py.(v) <- pt.Emb.y
+    let { Emb.x; y } = Emb.point emb v in
+    px.(v) <- x;
+    py.(v) <- y;
+    if x < !x0 then x0 := x;
+    if x > !x1 then x1 := x;
+    if y < !y0 then y0 := y;
+    if y > !y1 then y1 := y;
+    if Float.is_nan x || Float.is_nan y then numeric := false
   done;
   (* Bucket at the Tile stripe granularity: grid columns of side
      max r 1.  The column partition is a property of the topology alone,
@@ -97,6 +119,20 @@ let create ~params dual =
     slot_node.(cursor.(c)) <- v;
     cursor.(c) <- cursor.(c) + 1
   done;
+  (* The guards of the decode cut.  Positivity: every pair of nodes
+     lies within the extent, whose squared diagonal the factor 2 keeps
+     above any rounded d2 (a clamped d2 <= 1 gives at least P), so each
+     in-band power is at least this bound; an infinite extent fails it.
+     A NaN coordinate lies in no extent.  The alpha bound keeps the
+     cut's rounding, which the power law raises to the alpha/2, far
+     inside its 2^-20 margin. *)
+  let prunable =
+    let w = !x1 -. !x0 and h = !y1 -. !y0 in
+    !numeric
+    && p.Reception.alpha <= 0x1p20
+    && p.Reception.power *. ((2.0 *. ((w *. w) +. (h *. h))) ** (-.p.Reception.alpha /. 2.0))
+       >= Float.min_float
+  in
   {
     n;
     px;
@@ -123,8 +159,14 @@ let create ~params dual =
     nact = 0;
     act_mark = Bytes.make ncols '\000';
     off_checked = false;
-    s_lx = Array.make (max n 1) 0.0;
-    s_ly = Array.make (max n 1) 0.0;
+    cell;
+    miny = Grid.min_y grid;
+    rows = Grid.rows grid;
+    cell_off = Grid.cell_offsets grid;
+    cell_ids = Grid.cell_ids grid;
+    two_over_alpha = 2.0 /. p.Reception.alpha;
+    prunable;
+    within = Bytes.make (max n 1) '\000';
     s_best = Array.make (max n 1) (-1);
     s_best_pw = Array.make (max n 1) 0.0;
     s_sum = Array.make (max n 1) 0.0;
@@ -222,54 +264,105 @@ let load_round t ~transmitters ~count =
   done;
   t.nact <- !nact
 
-(* Kernel 3: the batched per-column scan.  One pass over each in-band
-   transmitter slice serves every listener of the column at once — the
-   loop interchange keeps each listener's accumulation sequence exactly
-   the per-listener reference scan's (band columns ascending, ids
-   ascending within a column, strict-> tie-break), so sums and
-   candidates are bit-identical.
-   Transmitting or dead nodes inside the range are scanned too (their
-   scratch is simply never read back); the few wasted lanes cost less
-   than branching per (transmitter, listener) pair. *)
+(* Kernel 4: the decode cut.  A listener's interference is
+   I = ((S ⊖ b) ⊕ far_c) ⊕ floor, with S its in-band sum, b its best
+   in-band power and far_c its column's far field.  Every operand is
+   >= 0 (S >= b, as the sum takes b in) and rounding is monotone, so
+   I >= far_c ⊕ noise whatever the jam adds to the floor, and
+   b < beta ⊗ (far_c ⊕ noise) forces -2.  Received power falls with
+   distance, so that holds for every listener whose in-band
+   transmitters all lie beyond the column's cut: the squared distance
+   at which one transmitter's power is thr = beta·(far_c + noise)
+   shrunk by 2^-20, a margin that covers pow's sub-ulp error.  -2 also
+   needs a candidate, some in-band power > 0.0, and the range queries
+   must find every listener within the cut; [prunable] guarantees both,
+   and the cut is infinite without it — as it is when noise and far_c
+   are both 0, since P / 0 = inf.  An infinite cut is no special case:
+   the range query then spans the column and sums every listener. *)
+let[@inline] decode_cut t ~column =
+  if not t.prunable then infinity
+  else
+    let thr =
+      t.beta *. (Array.unsafe_get t.far column +. t.noise) *. (1.0 -. 0x1p-20)
+    in
+    (t.power /. thr) ** t.two_over_alpha
+
+(* Kernels 3 and 4: the batched per-column scan.  First each in-band
+   transmitter's range query over the grid marks the listeners of the
+   slot range within the column's decode cut ([within]); then each
+   marked listener sums its in-band power exactly as the per-listener
+   reference scan does (band columns ascending, ids ascending within a
+   column — one contiguous slice of col_tx — and the strict-> tie-break),
+   so its sum and candidate are bit-identical, while every other
+   listener is answered from the band alone: -2 if it holds a
+   transmitter, -1 if not.  The query widens its rows by one on each
+   side, which absorbs the rounding of the row arithmetic, and clamps
+   them in float first: int_of_float of an infinite or NaN bound is
+   not a row.  A NaN distance fails [d2 > cut] and is summed. *)
 let scan_slots t ~column ~lo ~hi =
   if lo < hi then begin
-    let s_lx = t.s_lx
-    and s_ly = t.s_ly
-    and s_best = t.s_best
-    and s_best_pw = t.s_best_pw
-    and s_sum = t.s_sum in
-    for s = lo to hi - 1 do
-      let u = Array.unsafe_get t.slot_node s in
-      Array.unsafe_set s_lx s (Array.unsafe_get t.px u);
-      Array.unsafe_set s_ly s (Array.unsafe_get t.py u);
-      Array.unsafe_set s_best s (-1);
-      Array.unsafe_set s_best_pw s 0.0;
-      Array.unsafe_set s_sum s 0.0
-    done;
-    let clo = max 0 (column - t.near)
-    and chi = min (t.ncols - 1) (column + t.near) in
-    for c = clo to chi do
-      for idx = Array.unsafe_get t.off c to Array.unsafe_get t.off (c + 1) - 1 do
-        let w = Array.unsafe_get t.col_tx idx in
-        let wx = Array.unsafe_get t.px w and wy = Array.unsafe_get t.py w in
-        for s = lo to hi - 1 do
-          let dx = wx -. Array.unsafe_get s_lx s
-          and dy = wy -. Array.unsafe_get s_ly s in
-          let d2 = Float.max ((dx *. dx) +. (dy *. dy)) min_d2 in
-          let pw = t.power *. (d2 ** t.neg_half_alpha) in
-          Array.unsafe_set s_sum s (Array.unsafe_get s_sum s +. pw);
-          if pw > Array.unsafe_get s_best_pw s then begin
-            Array.unsafe_set s_best_pw s pw;
-            Array.unsafe_set s_best s w
+    let slot_node = t.slot_node and within = t.within in
+    let px = t.px and py = t.py and col_tx = t.col_tx in
+    let cell_off = t.cell_off and cell_ids = t.cell_ids in
+    let ncols = t.ncols and rows = t.rows in
+    let blo = Array.unsafe_get t.off (max 0 (column - t.near))
+    and bhi = Array.unsafe_get t.off (min (ncols - 1) (column + t.near) + 1) in
+    (* the slot range's listeners are the column's ids in [ulo, uhi] *)
+    let ulo = Array.unsafe_get slot_node lo and uhi = Array.unsafe_get slot_node (hi - 1) in
+    let cut = decode_cut t ~column in
+    let cell = t.cell and miny = t.miny in
+    let rad = Float.sqrt cut /. cell and last_row = float_of_int (rows - 1) in
+    for idx = blo to bhi - 1 do
+      let w = Array.unsafe_get col_tx idx in
+      let wx = Array.unsafe_get px w and wy = Array.unsafe_get py w in
+      (* the grid's own row arithmetic, in float, then the radius *)
+      let yr = (wy -. miny) /. cell in
+      let f0 = yr -. rad -. 1.0 and f1 = yr +. rad +. 1.0 in
+      let r0 = if f0 > 0.0 then if f0 < last_row then int_of_float f0 else rows - 1 else 0
+      and r1 = if f1 < last_row then if f1 > 0.0 then int_of_float f1 else 0 else rows - 1 in
+      for row = r0 to r1 do
+        let b = column + (row * ncols) in
+        for i = Array.unsafe_get cell_off b to Array.unsafe_get cell_off (b + 1) - 1 do
+          let u = Array.unsafe_get cell_ids i in
+          if u >= ulo && u <= uhi && Bytes.unsafe_get within u = '\000' then begin
+            let dx = wx -. Array.unsafe_get px u and dy = wy -. Array.unsafe_get py u in
+            if not ((dx *. dx) +. (dy *. dy) > cut) then Bytes.unsafe_set within u '\001'
           end
         done
       done
+    done;
+    let unsummed = if bhi > blo then -2 else -1 in
+    let power = t.power and neg_half_alpha = t.neg_half_alpha in
+    for s = lo to hi - 1 do
+      let u = Array.unsafe_get slot_node s in
+      if Bytes.unsafe_get within u = '\000' then Array.unsafe_set t.s_best s unsummed
+      else begin
+        Bytes.unsafe_set within u '\000';
+        let ux = Array.unsafe_get px u and uy = Array.unsafe_get py u in
+        let best = ref (-1) and best_pw = ref 0.0 and sum = ref 0.0 in
+        for idx = blo to bhi - 1 do
+          let w = Array.unsafe_get col_tx idx in
+          let dx = Array.unsafe_get px w -. ux and dy = Array.unsafe_get py w -. uy in
+          (* = Float.max d2 min_d2 for d2 >= +0 and for NaN, branch-cheap *)
+          let d2 = (dx *. dx) +. (dy *. dy) in
+          let d2 = if d2 < min_d2 then min_d2 else d2 in
+          let pw = power *. (d2 ** neg_half_alpha) in
+          sum := !sum +. pw;
+          if pw > !best_pw then begin
+            best_pw := pw;
+            best := w
+          end
+        done;
+        Array.unsafe_set t.s_best s !best;
+        Array.unsafe_set t.s_best_pw s !best_pw;
+        Array.unsafe_set t.s_sum s !sum
+      end
     done
   end
 
 let verdict t ~jammed ~slot =
   let best = Array.unsafe_get t.s_best slot in
-  if best < 0 then -1
+  if best < 0 then best
   else begin
     let best_pw = Array.unsafe_get t.s_best_pw slot in
     let cx = Array.unsafe_get t.col (Array.unsafe_get t.slot_node slot) in

@@ -39,10 +39,15 @@
       within [near] of one); a listener anywhere else provably has no
       in-band candidate and decodes [-1], so the engines never visit it
       ({!active_columns}, {!column_active});
-    - within an active column, {!scan_slots} computes every listener's
-      candidate and power sum in one batched pass over the in-band
-      transmitter slices (loop interchange — per-listener accumulation
-      order unchanged), with verdicts read back per slot ({!verdict}).
+    - within an active column, {!scan_slots} sums power only for the
+      listeners within the column's {e decode radius} of an in-band
+      transmitter, found by range queries over the embedding's grid:
+      any other listener's best power is below
+      [beta · (far field + noise)], a lower bound on [beta] times its
+      interference, so it is drowned ([-2]) whatever its exact sum.  A
+      summed listener is summed exactly as the per-listener scan does
+      (accumulation order unchanged), with verdicts read back per slot
+      ({!verdict}).
 
     Every sum is accumulated in one fixed global order (columns
     ascending, ids ascending within a column), never in tile order, so
@@ -60,8 +65,9 @@ val create : params:Reception.sinr -> Dualgraph.Dual.t -> t
 (** Prepares the power field: copies the embedding into flat coordinate
     arrays, assigns each node its grid column, builds the per-column
     listener CSR, and precomputes the per-distance far-field power
-    table.  O(n + cols); all per-round buffers are allocated here, so
-    rounds allocate nothing.
+    table; keeps the embedding's grid for the decode-radius queries.
+    O(n + cols · rows) for the grid's [rows]; all per-round buffers are
+    allocated here, so rounds allocate nothing.
 
     @raise Invalid_argument if the dual graph carries no embedding. *)
 
@@ -102,12 +108,15 @@ val column_active : t -> int -> bool
 (** Whether a column is in the loaded round's active set. *)
 
 val scan_slots : t -> column:int -> lo:int -> hi:int -> unit
-(** Batched near-band scan for the listeners in slots [lo..hi-1] of
+(** Near-band scan for the listeners in slots [lo..hi-1] of
     {!slot_node} — all of which must lie in [column] — filling the
-    per-slot scratch {!verdict} reads.  One pass per in-band
-    transmitter slice is shared by all listeners of the range; each
-    listener's accumulation order (and so every float and tie-break) is
-    exactly the per-listener scan's.  Disjoint slot ranges write
+    per-slot scratch {!verdict} reads.  Each in-band transmitter's
+    range query over the grid finds the range's listeners within the
+    column's decode radius; only those sum their in-band power, each in
+    exactly the per-listener scan's accumulation order (so every float
+    and tie-break is unchanged), and the rest are settled from the band
+    alone.  O(T_band · h + L_R · t̄ + (hi - lo)) for [h] listeners per
+    query and [L_R] within a radius.  Disjoint slot ranges write
     disjoint scratch, so concurrent tiles may share one [t]. *)
 
 val verdict : t -> jammed:bool -> slot:int -> int
@@ -116,8 +125,10 @@ val verdict : t -> jammed:bool -> slot:int -> int
     transmitter's id; [-1] if no transmitter lies within the near band
     (silence — nothing to decode); [-2] if the strongest in-band
     transmitter failed the SINR test (drowned — the dual-graph model's
-    collision).  [jammed] adds the model's [jam] noise to the
-    listener's floor — under SINR a jam window degrades the victim's
+    collision), which is also the answer, read without a power sum, for
+    a listener beyond every in-band transmitter's decode radius.
+    [jammed] adds the model's [jam] noise to the listener's floor —
+    under SINR a jam window degrades the victim's
     {e reception} instead of suppressing its transmission (see
     [docs/RECEPTION.md] §4).  The caller is responsible for only
     consulting slots of listeners (alive, not transmitting). *)

@@ -426,6 +426,95 @@ let test_boundary_column () =
     end
   done
 
+(* ---------- the decode cut ---------- *)
+
+(* An edgeless dual over explicit points: SINR reads only the embedding
+   and r (validation skipped, as in the boundary-column fixture). *)
+let points_dual ~r pts =
+  let n = Array.length pts in
+  let emb = Emb.create (Array.map (fun (x, y) -> { Emb.x; y }) pts) in
+  let g = Graph.create ~n ~edges:[] in
+  Dual.create ~embedding:emb ~r ~validate:false ~g ~g':g ()
+
+(* Loads one round into a fresh field and its dense reference, then
+   checks every listener: a listener of an inactive column must be
+   silent in the reference, and every active column is scanned whole
+   and again as two slot halves (the split a column straddling two
+   tiles gets), each scan's verdicts equal to the reference's. *)
+let cut_agrees ~params dual ~transmitters ~jam =
+  let n = Dual.n dual and count = Array.length transmitters in
+  let field = Sinr.create ~params dual in
+  let dense = Dense.create ~params dual field in
+  Sinr.load_round field ~transmitters ~count;
+  Dense.load dense ~transmitters ~count;
+  let is_tx = Array.make n false in
+  Array.iter (fun v -> is_tx.(v) <- true) transmitters;
+  let expect = Array.init n (fun u -> Dense.receive dense ~jammed:jam.(u) ~listener:u) in
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    if (not is_tx.(u)) && (not (Sinr.column_active field (Sinr.column_of field u)))
+       && expect.(u) <> -1
+    then ok := false
+  done;
+  let soff = Sinr.slot_off field and snode = Sinr.slot_node field in
+  let scan ~column ~lo ~hi =
+    Sinr.scan_slots field ~column ~lo ~hi;
+    for s = lo to hi - 1 do
+      let u = snode.(s) in
+      if (not is_tx.(u)) && Sinr.verdict field ~jammed:jam.(u) ~slot:s <> expect.(u) then
+        ok := false
+    done
+  in
+  let act, nact = Sinr.active_columns field in
+  for a = 0 to nact - 1 do
+    let c = act.(a) in
+    let lo = soff.(c) and hi = soff.(c + 1) in
+    scan ~column:c ~lo ~hi;
+    let mid = (lo + hi) / 2 in
+    scan ~column:c ~lo ~hi:mid;
+    scan ~column:c ~lo:mid ~hi
+  done;
+  !ok
+
+(* The decode cut's guards in [Sinr.create], each on a field where a
+   finite cut would answer "drowned" for listeners the reference hears
+   as silence.  Positivity: nodes 2,000 apart at alpha = 100 receive
+   P·2000^-100, which underflows to 0.0, so no listener has a
+   candidate, while the cut (about 1.04 here) excludes every one of
+   them.  Coordinates: a listener at a NaN y has NaN distances, so no
+   candidate either, and the grid clamps it into row 0, out of reach
+   of the range query around a transmitter 100 rows up. *)
+let test_cut_guards () =
+  let silent name ~params pts ~transmitters ~listeners =
+    let dual = points_dual ~r:1.0 pts in
+    let dense = Dense.create ~params dual (Sinr.create ~params dual) in
+    Dense.load dense ~transmitters ~count:(Array.length transmitters);
+    List.iter
+      (fun u ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: reference hears silence at %d" name u)
+          (-1)
+          (Dense.receive dense ~jammed:false ~listener:u))
+      listeners;
+    Alcotest.(check bool)
+      (name ^ ": verdicts = reference")
+      true
+      (cut_agrees ~params dual ~transmitters
+         ~jam:(Array.make (Array.length pts) false))
+  in
+  let sinr ?alpha ?near () =
+    match Reception.sinr ?alpha ?near () with
+    | Reception.Sinr p -> p
+    | Reception.Dual_graph -> assert false
+  in
+  silent "underflowing powers"
+    ~params:(sinr ~alpha:100.0 ~near:10_000 ())
+    (Array.init 4 (fun i -> (2000.0 *. float_of_int i, 0.0)))
+    ~transmitters:[| 0; 2 |] ~listeners:[ 1; 3 ];
+  silent "NaN coordinate" ~params:(sinr ())
+    [| (0.5, 100.0); (0.5, 0.0); (0.5, Float.nan) |]
+    ~transmitters:[| 0 |] ~listeners:[ 2 ]
+
 (* The round kernels allocate nothing at steady state: load_round plus a
    full active-column sweep (batched scans + verdicts), probed like the
    Serve engine's zero-allocation loop. *)
@@ -671,6 +760,74 @@ let qcheck_cases =
         end);
     Test.make
       ~name:
+        "SINR decode cut ≡ frozen dense reference: sparse fields and \
+         decode-radius probes, scanned whole and as two slot halves, under \
+         random jam flags"
+      ~count:150 small_int
+      (fun seed ->
+        let rng = Rng.of_int (seed + 7321) in
+        let noise =
+          if Rng.bernoulli rng 0.2 then 0.0 else 0.001 +. Rng.float rng 0.099
+        in
+        let params =
+          match
+            Reception.sinr
+              ~alpha:(2.0 +. Rng.float rng 3.0)
+              ~beta:(0.5 +. Rng.float rng 2.0)
+              ~noise
+              ~near:(1 + Rng.int rng 3)
+              ()
+          with
+          | Reception.Sinr p -> p
+          | Reception.Dual_graph -> assert false
+        in
+        let r = if Rng.bernoulli rng 0.5 then 1.0 else 1.6 in
+        (* A sparse field: most listeners lie beyond their column's
+           decode radius, so most verdicts come from the cut. *)
+        let sparse =
+          let n = 20 + Rng.int rng 181 in
+          let dual =
+            Geo.random_field ~rng ~n ~width:40.0 ~height:40.0 ~r ~gray_g':0.5 ()
+          in
+          let p = 0.02 +. Rng.float rng 0.13 in
+          let transmitters =
+            Array.of_list (List.filter (fun _ -> Rng.bernoulli rng p) (List.init n Fun.id))
+          in
+          let jam = Array.init n (fun _ -> Rng.bernoulli rng 0.3) in
+          Array.length transmitters = 0 || cut_agrees ~params dual ~transmitters ~jam
+        in
+        (* A probe: one transmitter (no far field, so the decode radius
+           is R = (P/(beta·noise))^(1/alpha)) and listeners straight
+           above and below it at R·(1 ± j/1000), with a row boundary at
+           0.995·R above it — where a query that reached short of R
+           would miss the decoding listeners beyond the boundary.  At
+           noise 0 the radius is infinite and every listener is summed. *)
+        let probe =
+          let cell = r in
+          let rad =
+            if noise = 0.0 then 10.0
+            else (params.Reception.power /. (params.Reception.beta *. noise))
+                 ** (1.0 /. params.Reception.alpha)
+          in
+          let k = Float.ceil (((2.0 *. rad) +. 2.0) /. cell) in
+          let x0 = 0.5 *. cell and y0 = (k *. cell) -. (0.995 *. rad) in
+          let probes =
+            List.concat_map
+              (fun j ->
+                let f = float_of_int j /. 1000.0 in
+                List.map
+                  (fun d -> (x0, y0 +. (d *. rad)))
+                  [ 1.0 -. f; 1.0 +. f; -.(1.0 -. f); -.(1.0 +. f) ])
+              [ 1; 2; 3; 4; 5; 7; 9; 12 ]
+          in
+          let pts = Array.of_list (((0.0, 0.0) :: (x0, y0) :: probes)) in
+          let dual = points_dual ~r pts in
+          let jam = Array.init (Array.length pts) (fun _ -> Rng.bernoulli rng 0.3) in
+          cut_agrees ~params dual ~transmitters:[| 1 |] ~jam
+        in
+        sparse && probe);
+    Test.make
+      ~name:
         "SINR activation soundness: across successive rounds, no skipped \
          listener ever has an in-band transmitter"
       ~count:40 small_int
@@ -737,6 +894,8 @@ let suite =
       `Quick test_distance_monotonicity;
     Alcotest.test_case "transmitter on a near-band column boundary" `Quick
       test_boundary_column;
+    Alcotest.test_case "decode cut guards: underflow and NaN stay silent" `Quick
+      test_cut_guards;
     Alcotest.test_case "round kernels allocate nothing at steady state" `Quick
       test_kernel_no_alloc;
   ]
